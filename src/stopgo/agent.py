@@ -54,6 +54,7 @@ def observation_lanes(net: Network, intersection_id: str,
 
 
 def observation_length(net: Network, intersection_id: str) -> int:
+    """Three entries (queue, delay, occupancy) per incoming lane."""
     return 3 * len(net.incoming_lanes[intersection_id])
 
 
@@ -87,7 +88,7 @@ def build_observation(world, net: Network, rv_id: str) -> np.ndarray:
     if iid is None or net.intersection_by_id[iid].control != UNSIGNALIZED:
         raise ValueError(f"{rv_id!r} is not approaching an unsignalized intersection")
     occupied_from = world.zone_entry_lanes(iid)
-    obs = np.empty(3 * len(net.incoming_lanes[iid]), dtype=np.float64)
+    obs = np.empty(observation_length(net, iid), dtype=np.float64)
     for slot, lane_id in enumerate(observation_lanes(net, iid, rv.lane)):
         queue, delay = lane_queue_and_delay(world.lane_vehicles.get(lane_id, ()))
         obs[3 * slot] = queue

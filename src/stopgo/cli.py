@@ -8,7 +8,9 @@ be supplied through `key = value` config files; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import typing
 
 from . import configfile, metrics, netmodel, training
 from .agent import RewardWeights
@@ -84,58 +86,67 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_optional_config(path) -> dict:
-    return configfile.load_config(path) if path else {}
+# Config keys that differ from the name of the dataclass field they set.
+_ALIASES = {"total_vehicles": "demand", "episode_duration": "duration",
+            "rv_penetration": "rv_rate", "remove_lefts": "remove_left_turns"}
+
+# Per subcommand: the dataclasses built from its config, and the keys the
+# subcommand reads itself.
+_CONFIGS = {
+    "train": ((LearnerConfig, ScenarioConfig, EngineConfig, RewardWeights),
+              ("seed",)),
+    "simulate": ((DemandSchedule, EngineConfig, RewardWeights),
+                 ("duration", "policy", "seed")),
+    "sweep": ((metrics.ExperimentSpec, EngineConfig), ("policy",)),
+}
+
+_READERS = {int: as_int, float: as_float, bool: as_bool}
 
 
-def _learner_config(values: dict) -> LearnerConfig:
-    base = LearnerConfig()
-    hidden = tuple(int(h) for h in as_list(
-        values, "hidden", [str(w) for w in base.hidden]))
-    return LearnerConfig(
-        gamma=as_float(values, "gamma", base.gamma),
-        learning_rate=as_float(values, "learning_rate", base.learning_rate),
-        batch_size=as_int(values, "batch_size", base.batch_size),
-        atoms=as_int(values, "atoms", base.atoms),
-        v_min=as_float(values, "v_min", base.v_min),
-        v_max=as_float(values, "v_max", base.v_max),
-        hidden=hidden,
-        target_sync=as_int(values, "target_sync", base.target_sync),
-        eps_start=as_float(values, "eps_start", base.eps_start),
-        eps_end=as_float(values, "eps_end", base.eps_end),
-        eps_fraction=as_float(values, "eps_fraction", base.eps_fraction),
-        buffer_capacity=as_int(values, "buffer_capacity", base.buffer_capacity),
-        alpha_per=as_float(values, "alpha_per", base.alpha_per),
-        beta_start=as_float(values, "beta_start", base.beta_start),
-        beta_end=as_float(values, "beta_end", base.beta_end),
-        priority_floor=as_float(values, "priority_floor", base.priority_floor),
-        momentum=as_float(values, "momentum", base.momentum),
-        grad_clip=as_float(values, "grad_clip", base.grad_clip),
-        warmup=as_int(values, "warmup", base.warmup),
-        episodes=as_int(values, "episodes", base.episodes),
-    )
+def config_keys(command: str) -> set[str]:
+    """Every key the subcommand's config may set."""
+    classes, own = _CONFIGS[command]
+    return {_ALIASES.get(f.name, f.name)
+            for cls in classes for f in dataclasses.fields(cls)} | set(own)
 
 
-def _engine_config(values: dict) -> EngineConfig:
-    base = EngineConfig()
-    return EngineConfig(
-        dt=as_float(values, "dt", base.dt),
-        zone_length=as_float(values, "zone_length", base.zone_length),
-        vehicle_length=as_float(values, "vehicle_length", base.vehicle_length),
-        gap_accept_tta=as_float(values, "gap_accept_tta", base.gap_accept_tta),
-        engage_range=as_float(values, "engage_range", base.engage_range),
-        collision_dwell=as_float(values, "collision_dwell", base.collision_dwell),
-        all_red=as_float(values, "all_red", base.all_red),
-        control_zone=as_float(values, "control_zone", base.control_zone),
-        decision_period=as_float(values, "decision_period", base.decision_period),
-    )
+def _read(values: dict, key: str, hint):
+    """values[key] as the type a field declares; a tuple field takes a
+    comma-separated list."""
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return tuple(_read({key: text}, key, item)
+                     for text in as_list(values, key, []))
+    if hint is str:
+        return str(values[key])
+    return _READERS[hint](values, key, None)
 
 
-def _reward_weights(values: dict) -> RewardWeights:
-    base = RewardWeights()
-    return RewardWeights(alpha=as_float(values, "alpha", base.alpha),
-                         beta_penalty=as_float(values, "beta_penalty",
-                                               base.beta_penalty))
+def _build(cls, values: dict):
+    """The dataclass cls with each field read from its config key; a field
+    whose key is absent keeps its default."""
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        key = _ALIASES.get(f.name, f.name)
+        if key in values:
+            kwargs[f.name] = _read(values, key, hints[f.name])
+        elif f.default is dataclasses.MISSING:
+            raise configfile.ConfigError(f"missing key {key!r}")
+    return cls(**kwargs)
+
+
+def _config(command: str, path, flags: dict) -> dict:
+    """The config file's values under the explicitly set flags. Every key
+    must be one the subcommand reads."""
+    values = configfile.merge_options(
+        configfile.load_config(path) if path else {}, flags)
+    unknown = sorted(set(values) - config_keys(command))
+    if unknown:
+        raise configfile.ConfigError(
+            f"unknown config key{'s' if len(unknown) > 1 else ''} "
+            + ", ".join(map(repr, unknown)))
+    return values
 
 
 def _cmd_netgen(args) -> int:
@@ -165,51 +176,41 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    values = configfile.merge_options(
-        _load_optional_config(args.config),
-        {"episodes": args.episodes, "seed": args.seed})
-    learner_config = _learner_config(values)
-    scenario = ScenarioConfig(
-        demand=as_int(values, "demand", 120),
-        episode_duration=as_float(values, "duration", 240.0),
-        rv_penetration=as_float(values, "rv_rate", 0.6),
-        axis_bias=as_float(values, "axis_bias", 2.0))
+    values = _config("train", args.config,
+                     {"episodes": args.episodes, "seed": args.seed})
+    learner_config = _build(LearnerConfig, values)
+    scenario = _build(ScenarioConfig, values)
     net = netmodel.load_network(args.network)
-    episodes = as_int(values, "episodes", learner_config.episodes)
     seed = as_int(values, "seed", 0)
     resume = None
     if args.resume:
         resume = training.resolve_checkpoint(args.checkpoint)
-    training.train(net, episodes, seed, args.checkpoint,
+    training.train(net, learner_config.episodes, seed, args.checkpoint,
                    learner_config=learner_config, scenario=scenario,
-                   engine_config=_engine_config(values),
-                   weights=_reward_weights(values),
+                   engine_config=_build(EngineConfig, values),
+                   weights=_build(RewardWeights, values),
                    resume_from=resume, quiet=args.quiet)
     print(f"checkpoint written to {args.checkpoint}")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    values = configfile.merge_options(
-        _load_optional_config(args.config),
-        {"demand": args.demand, "rv_rate": args.rv_rate,
-         "policy": args.policy, "seed": args.seed,
-         "duration": args.duration})
+    values = _config("simulate", args.config,
+                     {"demand": args.demand, "rv_rate": args.rv_rate,
+                      "policy": args.policy, "seed": args.seed,
+                      "duration": args.duration})
     if "demand" not in values:
         print("simulate: --demand is required (flag or config)", file=sys.stderr)
         return 1
     net = netmodel.load_network(args.network)
     duration = as_float(values, "duration", 1000.0)
-    schedule = DemandSchedule(
-        total_vehicles=as_int(values, "demand", 0),
-        horizon=as_float(values, "horizon", duration),
-        rv_penetration=as_float(values, "rv_rate", 0.0),
-        axis_bias=as_float(values, "axis_bias", 2.0))
+    # The schedule's horizon defaults to the run's duration.
+    schedule = _build(DemandSchedule, {"horizon": duration, **values})
     policy = training.make_policy(str(values.get("policy", "random")))
     seed = as_int(values, "seed", 0)
     events, summary = run_rollout(
-        net, schedule, policy, seed, duration, _engine_config(values),
-        weights=_reward_weights(values),
+        net, schedule, policy, seed, duration, _build(EngineConfig, values),
+        weights=_build(RewardWeights, values),
         log_decisions=not args.no_decision_log)
     if args.events:
         write_events_csv(events, args.events)
@@ -228,20 +229,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    values = configfile.load_config(args.spec)
-    if args.policy is not None:
-        values["policy"] = args.policy
-    spec = metrics.ExperimentSpec(
-        configs=tuple(as_list(values, "configs", [])),
-        rv_rates=tuple(float(x) for x in as_list(values, "rv_rates", [])),
-        demands=tuple(int(x) for x in as_list(values, "demands", [])),
-        remove_lefts=as_bool(values, "remove_left_turns", False),
-        rollouts=as_int(values, "rollouts", 10),
-        base_seed=as_int(values, "base_seed", 1),
-        duration=as_float(values, "duration", 1000.0),
-        rows=as_int(values, "rows", 2),
-        cols=as_int(values, "cols", 7),
-        axis_bias=as_float(values, "axis_bias", 2.0))
+    values = _config("sweep", args.spec, {"policy": args.policy})
+    spec = _build(metrics.ExperimentSpec, values)
     policy = training.make_policy(str(values.get("policy", "random")))
 
     def progress(cell_index, label, rate, demand, seed):
@@ -249,7 +238,7 @@ def _cmd_sweep(args) -> int:
             print(f"cell {cell_index} [{label} rate={rate:g} "
                   f"demand={demand}] seed {seed}", flush=True)
 
-    rows = metrics.run_sweep(spec, policy, _engine_config(values),
+    rows = metrics.run_sweep(spec, policy, _build(EngineConfig, values),
                              progress=progress)
     metrics.write_results_csv(rows, args.out)
     if args.summary:

@@ -26,7 +26,7 @@ from .agent import (GO, ACTION_NAMES, CONTROL_ZONE, DECISION_PERIOD,
 from .idm import (B_EMERGENCY, DEFAULT_IDM, HV, RV, STOP_SPEED, IdmParams,
                   VehicleState, advance_vehicle, idm_acceleration)
 from .netmodel import Network, Movement, SIGNALIZED, UNSIGNALIZED
-from .signals import phase_at
+from .signals import permitted_movements, phase_at
 
 REAR_END = "RearEnd"
 CROSSING = "Crossing"
@@ -83,14 +83,6 @@ class Event:
     vehicle_ids: tuple[str, ...]
     location: str
     extra: str = ""
-
-
-@dataclass(frozen=True)
-class CollisionEvent:
-    time: float
-    kind: str                      # RearEnd | Crossing
-    vehicle_ids: tuple[str, str]
-    location: str
 
 
 @dataclass
@@ -165,7 +157,6 @@ class Simulation:
         self.pending: dict[str, _Pending] = {}
         self.contacts: set[tuple[str, str]] = set()
         self.events: list[Event] = []
-        self.collision_log: list[CollisionEvent] = []
         self.collided_ids: set[str] = set()
         self.spawned = 0
         self.rv_spawned = 0
@@ -266,16 +257,10 @@ class Simulation:
 
     def _permitted_now(self) -> dict[str, frozenset[str]]:
         t = self.clock
-        out = {}
-        for inter in self._signalized:
-            state = phase_at(inter.plan, t, inter.id)
-            phase = inter.plan.phases[state.phase_index]
-            if self.config.all_red > 0.0 and \
-                    state.time_into_phase >= phase.duration - self.config.all_red:
-                out[inter.id] = frozenset()
-            else:
-                out[inter.id] = phase.permitted_movements
-        return out
+        return {inter.id: permitted_movements(
+                    inter.plan, phase_at(inter.plan, t, inter.id),
+                    self.config.all_red)
+                for inter in self._signalized}
 
     def _refresh_control(self):
         for v in self.vehicles.values():
@@ -516,7 +501,6 @@ class Simulation:
         if pair in self.contacts:
             return
         self.contacts.add(pair)
-        self.collision_log.append(CollisionEvent(t, kind, pair, location))
         self.events.append(Event(t, "Collision", pair, location, f"kind={kind}"))
         for v in (v1, v2):
             self.collided_ids.add(v.id)
@@ -605,7 +589,8 @@ class Simulation:
         return RolloutSummary(
             spawned=self.spawned, departed=self.departed,
             collided=len(self.collided_ids),
-            collision_events=len(self.collision_log),
+            collision_events=sum(1 for e in self.events
+                                 if e.event_type == "Collision"),
             rv_spawned=self.rv_spawned, duration=self.clock)
 
 

@@ -103,7 +103,6 @@ class Network:
     incoming_lanes: dict = field(init=False, compare=False, repr=False)
     conflict_sets: dict = field(init=False, compare=False, repr=False)
     route_by_id: dict = field(init=False, compare=False, repr=False)
-    routes_from_lane: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.lane_by_id = {l.id: l for l in self.lanes}
@@ -124,9 +123,6 @@ class Network:
                 self.conflict_sets[a].add(b)
                 self.conflict_sets[b].add(a)
         self.route_by_id = {r.id: r for r in self.routes}
-        self.routes_from_lane = {}
-        for r in self.routes:
-            self.routes_from_lane.setdefault(r.lane_chain[0], []).append(r)
 
     def conflicts(self, m1: str, m2: str) -> bool:
         return m2 in self.conflict_sets.get(m1, ())

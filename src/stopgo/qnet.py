@@ -47,15 +47,6 @@ def init_params(spec: NetSpec, rng: np.random.Generator) -> dict[str, np.ndarray
     return params
 
 
-def spec_of(params: dict[str, np.ndarray]) -> NetSpec:
-    depth = sum(1 for k in params if k.startswith("W") and k[1:].isdigit())
-    hidden = tuple(params[f"W{i}"].shape[1] for i in range(depth))
-    atoms = params["Wv"].shape[1]
-    return NetSpec(obs_dim=params["W0"].shape[0],
-                   actions=params["Wa"].shape[1] // atoms,
-                   atoms=atoms, hidden=hidden)
-
-
 def dueling_aggregate(value_logits: np.ndarray, adv_logits: np.ndarray) -> np.ndarray:
     """Combine value [..., Z] and advantage [..., A, Z] logits per atom."""
     centered = adv_logits - adv_logits.mean(axis=-2, keepdims=True)

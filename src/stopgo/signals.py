@@ -1,10 +1,10 @@
-"""Fixed-time signal evaluation and the movement-permission predicate."""
+"""Fixed-time signal evaluation and the movement-permission rule."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .netmodel import Network, SignalPlan, SIGNALIZED
+from .netmodel import SignalPlan
 
 
 @dataclass(frozen=True)
@@ -32,19 +32,16 @@ def phase_at(plan: SignalPlan, t: float, intersection_id: str = "") -> PhaseStat
     return PhaseState(intersection_id, 0, 0.0)
 
 
-def movement_permitted(net: Network, movement_id: str, t: float) -> bool:
-    """True iff the movement may enter its intersection at time t.
+def permitted_movements(plan: SignalPlan, state: PhaseState,
+                        all_red: float) -> frozenset[str]:
+    """Movements the plan lets enter the intersection in the given phase
+    state: the phase's permitted set, or none inside the phase's last
+    all_red seconds (the clearance tail).
 
-    Signalized: the movement must be in the current phase's permitted set.
-    Unsignalized: always true; permission is delegated to RV decisions and
-    HV gap acceptance in the engine.
+    Unsignalized intersections have no plan; permission there is delegated
+    to RV decisions and HV gap acceptance in the engine.
     """
-    if movement_id not in net.movement_by_id:
-        raise KeyError(f"unknown movement {movement_id!r}")
-    iid = net.intersection_of_movement(movement_id)
-    intersection = net.intersection_by_id[iid]
-    if intersection.control != SIGNALIZED:
-        return True
-    plan = intersection.plan
-    state = phase_at(plan, t, iid)
-    return movement_id in plan.phases[state.phase_index].permitted_movements
+    phase = plan.phases[state.phase_index]
+    if all_red > 0.0 and state.time_into_phase >= phase.duration - all_red:
+        return frozenset()
+    return phase.permitted_movements

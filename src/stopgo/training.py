@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .agent import RewardWeights
+from .agent import RewardWeights, observation_length
 from .engine import (AlwaysGoPolicy, DemandSchedule, EngineConfig,
                      RandomPolicy, Simulation)
 from .idm import DEFAULT_IDM, IdmParams
@@ -46,7 +46,7 @@ class TrainingPolicy:
 
 def observation_dim(net: Network) -> int:
     """Shared observation length across unsignalized intersections."""
-    sizes = {3 * len(net.incoming_lanes[i.id])
+    sizes = {observation_length(net, i.id)
              for i in net.intersections if i.control == UNSIGNALIZED}
     if not sizes:
         raise ValueError("network has no unsignalized intersections to train on")
@@ -111,12 +111,13 @@ def train(net: Network, episodes: int, seed: int, checkpoint_dir,
             learner.episodes_done = episode + 1
             mean_reward = sum(ep_rewards) / len(ep_rewards) if ep_rewards else 0.0
             mean_loss = sum(ep_losses) / len(ep_losses) if ep_losses else 0.0
+            collisions = sim.summary().collision_events
             row = (f"{episode},{learner.train_steps},{mean_reward:.6f},"
-                   f"{len(sim.collision_log)},{epsilon:.4f},{mean_loss:.6f}")
+                   f"{collisions},{epsilon:.4f},{mean_loss:.6f}")
             curve.write(row + "\n")
             if not quiet and (episode % 10 == 0 or episode == episodes - 1):
                 print(f"episode {episode}: reward {mean_reward:.2f} "
-                      f"collisions {len(sim.collision_log)} "
+                      f"collisions {collisions} "
                       f"eps {epsilon:.2f} loss {mean_loss:.4f}")
 
     learner.save(ckpt_path)

@@ -64,9 +64,9 @@ def test_build_observation_from_live_simulation(net_1u):
             break
     assert controlled is not None
     obs = build_observation(sim, net_1u, controlled.id)
-    assert obs.shape == (12,)
-    assert obs.dtype == np.float64
     iid = net_1u.lane_by_id[controlled.lane].downstream_intersection
+    assert obs.shape == (observation_length(net_1u, iid),)
+    assert obs.dtype == np.float64
     lanes = observation_lanes(net_1u, iid, controlled.lane)
     for slot, lane_id in enumerate(lanes):
         queue, delay = lane_queue_and_delay(sim.lane_vehicles.get(lane_id, ()))

@@ -1,6 +1,10 @@
-import numpy as np
+import re
+from pathlib import Path
 
-from stopgo.cli import run
+import numpy as np
+import pytest
+
+from stopgo.cli import config_keys, run
 from stopgo.netmodel import load_network
 from stopgo.rainbow import Learner
 
@@ -173,3 +177,35 @@ def test_netgen_rejects_impossible_grid(tmp_path):
     assert run(["netgen", "--unsignalized", "5", "--signalized", "0",
                 "--rows", "1", "--cols", "2",
                 "--out", str(tmp_path / "x.txt")]) == 2
+
+
+@pytest.mark.parametrize("line,key", [("hidden = 16,abc", "hidden"),
+                                      ("learning_rat = 0.1", "learning_rat")])
+def test_train_config_error_names_the_key(tmp_path, capsys, line, key):
+    net = _netgen(tmp_path)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(FAST_TRAIN_CFG.replace("hidden = 16", line))
+    ckpt_dir = tmp_path / "ck"
+    assert run(["train", "--network", str(net), "--checkpoint", str(ckpt_dir),
+                "--config", str(cfg), "--quiet"]) == 2
+    assert key in capsys.readouterr().err
+    assert not ckpt_dir.exists()
+
+
+def _readme_config_keys() -> dict[str, set[str]]:
+    """The README's "Config files" bullets: `(commands): keys`."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Config files", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    keys: dict[str, set[str]] = {}
+    for item in section.split("\n- ")[1:]:
+        head, _, body = item.split("\n\n", 1)[0].partition(":")
+        for command in re.findall(r"`(\w+)`", head):
+            keys.setdefault(command, set()).update(re.findall(r"`(\w+)`", body))
+    return keys
+
+
+def test_readme_lists_the_config_keys_each_subcommand_reads():
+    assert _readme_config_keys() == {
+        command: config_keys(command)
+        for command in ("train", "simulate", "sweep")}

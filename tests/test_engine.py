@@ -13,7 +13,7 @@ from stopgo.engine import (
     run_rollout,
     write_events_csv,
 )
-from stopgo.signals import movement_permitted
+from stopgo.signals import permitted_movements, phase_at
 
 
 class AlwaysStopPolicy:
@@ -101,7 +101,7 @@ def test_collided_vehicles_freeze_then_leave(net_1u):
                 frozen_seen = True
                 assert v.speed == 0.0
                 assert sim.clock - v.collided_at <= sim.config.collision_dwell + 0.2
-        if sim.collision_log and not sim.vehicles:
+        if sim.summary().collision_events and not sim.vehicles:
             break
     assert frozen_seen, "scenario expected to produce at least one collision"
     assert sim.summary().collided >= 2
@@ -164,15 +164,18 @@ def test_always_stop_rvs_never_enter_the_zone(net_1u):
             if lane.downstream_intersection is not None:
                 assert v.position <= stop_line[v.lane] + 1e-6
     assert sim.summary().departed == 0
-    assert not sim.collision_log
+    assert sim.summary().collision_events == 0
 
 
-def test_red_signal_holds_vehicles_at_the_line(net_1s):
+@pytest.mark.parametrize("all_red", [0.0, 3.0])
+def test_red_signal_holds_vehicles_at_the_line(net_1s, all_red):
     schedule = DemandSchedule(total_vehicles=40, horizon=200.0,
                               rv_penetration=0.0)
     sim = Simulation(net_1s, schedule, AlwaysGoPolicy(), seed=9,
+                     config=EngineConfig(all_red=all_red),
                      log_decisions=False)
     config = sim.config
+    plan = net_1s.intersections[0].plan
     previous = {}
     for _ in range(4000):
         t = sim.clock
@@ -189,7 +192,8 @@ def test_red_signal_holds_vehicles_at_the_line(net_1s):
                     # allow dilemma-zone crossers committed just before a
                     # phase flip; mid-red entries are never acceptable
                     recently_green = any(
-                        movement_permitted(net_1s, move.id, t - dt)
+                        move.id in permitted_movements(
+                            plan, phase_at(plan, t - dt), all_red)
                         for dt in (0.0, 1.0, 2.0, 3.0))
                     assert recently_green
         previous = {(vid, v.lane): v.position

@@ -13,7 +13,6 @@ from stopgo.qnet import (
     q_values_batch,
     select_action,
     sgd_step,
-    spec_of,
 )
 
 SMALL = NetSpec(obs_dim=4, actions=2, atoms=5, hidden=(8, 8))
@@ -30,7 +29,6 @@ def test_init_shapes_and_spec_round_trip(rng):
     assert params["W1"].shape == (8, 8)
     assert params["Wv"].shape == (8, 5)
     assert params["Wa"].shape == (8, 10)
-    assert spec_of(params) == SMALL
 
 
 def test_dueling_aggregate_single_atom_scalar_case():

@@ -1,7 +1,7 @@
 import pytest
 
 from stopgo.netmodel import Phase, SignalPlan
-from stopgo.signals import movement_permitted, phase_at
+from stopgo.signals import permitted_movements, phase_at
 
 
 def _plan():
@@ -36,21 +36,26 @@ def test_phase_at_keeps_intersection_id():
     assert phase_at(_plan(), 5.0, "J3").intersection_id == "J3"
 
 
-def test_unsignalized_movements_always_permitted(net_1u):
-    for m in net_1u.movements:
-        assert movement_permitted(net_1u, m.id, 0.0)
-        assert movement_permitted(net_1u, m.id, 123.4)
-
-
 def test_signalized_permission_follows_phase_table(net_1s):
     plan = net_1s.intersections[0].plan
     for t in (0.0, 14.9, 15.0, 31.0, 59.9, 60.0, 61.5):
         state = phase_at(plan, t)
         allowed = plan.phases[state.phase_index].permitted_movements
-        for m in net_1s.movements_at(net_1s.intersections[0].id):
-            assert movement_permitted(net_1s, m.id, t) == (m.id in allowed)
+        assert permitted_movements(plan, state, all_red=0.0) == allowed
+        assert allowed <= {m.id for m in
+                           net_1s.movements_at(net_1s.intersections[0].id)}
 
 
-def test_unknown_movement_raises(net_1u):
-    with pytest.raises(KeyError):
-        movement_permitted(net_1u, "M_nope", 0.0)
+def test_clearance_tail_permits_nothing(net_1s):
+    plan = net_1s.intersections[0].plan
+    assert [p.duration for p in plan.phases] == [15.0] * 4
+    first, second = (p.permitted_movements for p in plan.phases[:2])
+    assert first and second
+
+    def permitted(t):
+        return permitted_movements(plan, phase_at(plan, t), all_red=3.0)
+
+    assert permitted(11.9) == first
+    assert permitted(12.0) == frozenset()
+    assert permitted(14.9) == frozenset()
+    assert permitted(15.0) == second
