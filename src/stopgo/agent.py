@@ -58,6 +58,13 @@ def observation_length(net: Network, intersection_id: str) -> int:
     return 3 * len(net.incoming_lanes[intersection_id])
 
 
+def default_obs_scale(obs_dim: int) -> np.ndarray:
+    """Fixed input scaling for (queue, delay, occupancy) triples."""
+    if obs_dim % 3 != 0:
+        raise ValueError("observation length must be a multiple of 3")
+    return np.tile(np.array([10.0, 50.0, 1.0]), obs_dim // 3)
+
+
 def lane_queue_and_delay(vehicles) -> tuple[int, float]:
     """Queue length (vehicles below STOP_SPEED) and mean accumulated waiting
     time over all vehicles on the lane (0 for an empty lane)."""

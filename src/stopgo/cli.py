@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 import typing
 
@@ -133,7 +134,12 @@ def _build(cls, values: dict):
             kwargs[f.name] = _read(values, key, hints[f.name])
         elif f.default is dataclasses.MISSING:
             raise configfile.ConfigError(f"missing key {key!r}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as error:
+        # The dataclass names its field; name the key the user wrote.
+        raise configfile.ConfigError(re.sub(
+            r"\w+", lambda m: _ALIASES.get(m[0], m[0]), str(error))) from None
 
 
 def _config(command: str, path, flags: dict) -> dict:

@@ -16,6 +16,7 @@ entered the movement's exit lane.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -45,6 +46,10 @@ class EngineConfig:
     all_red: float = 0.0            # clearance tail carved out of each phase
     control_zone: float = CONTROL_ZONE
     decision_period: float = DECISION_PERIOD
+
+    def __post_init__(self):
+        if self.dt <= 0:
+            raise ValueError("dt must be > 0")
 
     @property
     def decision_steps(self) -> int:
@@ -149,15 +154,18 @@ class Simulation:
 
         self.step_count = 0
         self.vehicles: dict[str, VehicleState] = {}
-        self.lane_vehicles: dict[str, list[VehicleState]] = {}
+        # Each lane's vehicles, front first: ordered by (-position, id).
+        self.lane_vehicles: dict[str, list[VehicleState]] = {
+            lane_id: [] for lane_id in sorted(net.lane_by_id)}
         self.zone_occupancy: dict[str, dict[str, str]] = {
             i.id: {} for i in net.intersections}
         self.zone_of: dict[str, tuple[str, str]] = {}
         self.next_move: dict[str, Movement | None] = {}
         self.pending: dict[str, _Pending] = {}
+        # Every collided pair. Ids are never reused in a rollout, so a
+        # removed vehicle's pairs stay: they cannot recur.
         self.contacts: set[tuple[str, str]] = set()
         self.events: list[Event] = []
-        self.collided_ids: set[str] = set()
         self.spawned = 0
         self.rv_spawned = 0
         self.departed = 0
@@ -171,6 +179,10 @@ class Simulation:
         self._stop_line: dict[str, float] = {
             l.id: l.length - config.zone_length
             for l in net.lanes if l.downstream_intersection is not None}
+        if any(line <= 0.0 for line in self._stop_line.values()):
+            raise ValueError(
+                f"zone_length = {config.zone_length:g} must be shorter than "
+                "every approach lane")
 
     # -- setup ---------------------------------------------------------------
 
@@ -229,7 +241,7 @@ class Simulation:
         for origin in sorted(self._spawn_queues):
             queue = self._spawn_queues[origin]
             while queue:
-                tail = self.lane_vehicles.get(origin)
+                tail = self.lane_vehicles[origin]
                 tail = tail[-1] if tail else None
                 if tail is not None and tail.position - tail.length \
                         < self.idm_params.min_gap + cfg.vehicle_length:
@@ -245,7 +257,7 @@ class Simulation:
                     route_id=route_id, route_index=0, idm=self.idm_params,
                     length=cfg.vehicle_length)
                 self.vehicles[v.id] = v
-                self.lane_vehicles.setdefault(origin, []).append(v)
+                self.lane_vehicles[origin].append(v)
                 self.next_move[v.id] = self._movement_after(v)
                 self.spawned += 1
                 if kind == RV:
@@ -321,7 +333,7 @@ class Simulation:
         """First vehicle on the lane whose front has not passed the stop
         line, or None."""
         stop_line = self._stop_line[lane_id]
-        for v in self.lane_vehicles.get(lane_id, ()):
+        for v in self.lane_vehicles[lane_id]:
             if v.position <= stop_line:
                 return v
         return None
@@ -378,8 +390,7 @@ class Simulation:
         accel: dict[str, float] = {}
         claims: dict[str, list[str]] = {}
         cfg = self.config
-        for lane_id in sorted(self.lane_vehicles):
-            vehicles = self.lane_vehicles[lane_id]
+        for lane_id, vehicles in self.lane_vehicles.items():
             if not vehicles:
                 continue
             lane = self.net.lane_by_id[lane_id]
@@ -401,7 +412,7 @@ class Simulation:
                     gap, dv = math.inf, 0.0
                     nxt = self.next_move.get(v.id)
                     if nxt is not None:
-                        queue = self.lane_vehicles.get(nxt.to_lane)
+                        queue = self.lane_vehicles[nxt.to_lane]
                         if queue:
                             tail = queue[-1]
                             gap = (lane.length - v.position) \
@@ -442,38 +453,38 @@ class Simulation:
     # -- integration, occupancy, collisions ----------------------------------
 
     def _integrate(self, accel):
-        arrived = []
-        for vid in sorted(self.vehicles):
-            v = self.vehicles[vid]
+        """Advance every vehicle, then hand those past their lane's end to
+        the next lane. No vehicle passes its leader on a lane, so each lane
+        stays in order; a handed-off vehicle is inserted only once every
+        position is current. Returns the ids that reached their exit's end."""
+        arrived, handed_off = [], []
+        for vid, v in self.vehicles.items():
             if v.collided_at is not None:
                 continue
             advance_vehicle(v, accel[vid], self.config.dt)
-            lane = self.net.lane_by_id[v.lane]
-            if v.position > lane.length:
-                movement = self.next_move.get(vid)
-                if movement is None:
+            if v.position > self.net.lane_by_id[v.lane].length:
+                if self.next_move[vid] is None:
                     arrived.append(vid)
                 else:
-                    v.position -= lane.length
-                    v.lane = movement.to_lane
-                    v.route_index += 1
-                    v.waiting_time = 0.0
-                    v.current_action = None
-                    v.controlled = False
-                    self.next_move[vid] = self._movement_after(v)
+                    handed_off.append(v)
+        for v in handed_off:
+            self.lane_vehicles[v.lane].remove(v)
+            v.position -= self.net.lane_by_id[v.lane].length
+            v.lane = self.next_move[v.id].to_lane
+            v.route_index += 1
+            v.waiting_time = 0.0
+            v.current_action = None
+            v.controlled = False
+            self.next_move[v.id] = self._movement_after(v)
+            insort(self.lane_vehicles[v.lane], v,
+                   key=lambda u: (-u.position, u.id))
         return arrived
 
-    def _rebuild_lanes(self):
-        lanes: dict[str, list[VehicleState]] = {}
-        for vid in sorted(self.vehicles):
-            lanes.setdefault(self.vehicles[vid].lane, []).append(self.vehicles[vid])
-        for vs in lanes.values():
-            vs.sort(key=lambda v: (-v.position, v.id))
-        self.lane_vehicles = lanes
-
     def _update_occupancy(self):
-        for vid in sorted(self.vehicles):
-            v = self.vehicles[vid]
+        """Enter and clear conflict zones; returns the ids whose passage
+        completed with a decision pending."""
+        passed = []
+        for vid, v in self.vehicles.items():
             zone = self.zone_of.get(vid)
             if zone is None:
                 stop_line = self._stop_line.get(v.lane)
@@ -492,9 +503,8 @@ class Simulation:
                     del self.zone_occupancy[iid][vid]
                     del self.zone_of[vid]
                     if vid in self.pending:
-                        # Passage complete: the Go that entered the zone
-                        # resolves with no collision.
-                        self._close_pending(vid, None, terminal=True)
+                        passed.append(vid)
+        return passed
 
     def _record_collision(self, t, kind, v1, v2, location):
         pair = (v1.id, v2.id) if v1.id < v2.id else (v2.id, v1.id)
@@ -503,7 +513,6 @@ class Simulation:
         self.contacts.add(pair)
         self.events.append(Event(t, "Collision", pair, location, f"kind={kind}"))
         for v in (v1, v2):
-            self.collided_ids.add(v.id)
             if v.collided_at is None:
                 v.collided_at = t
                 v.speed = 0.0
@@ -514,8 +523,7 @@ class Simulation:
 
     def _detect_collisions(self):
         t = self.clock
-        for lane_id in sorted(self.lane_vehicles):
-            vehicles = self.lane_vehicles[lane_id]
+        for lane_id, vehicles in self.lane_vehicles.items():
             for i in range(1, len(vehicles)):
                 lead, follower = vehicles[i - 1], vehicles[i]
                 if lead.position - lead.length - follower.position <= 0.0:
@@ -540,27 +548,24 @@ class Simulation:
         if zone is not None:
             self.zone_occupancy[zone[0]].pop(vid, None)
         self.next_move.pop(vid, None)
-        self.contacts = {p for p in self.contacts if vid not in p}
-        lane_list = self.lane_vehicles.get(v.lane)
-        if lane_list is not None and v in lane_list:
-            lane_list.remove(v)
+        self.lane_vehicles[v.lane].remove(v)
         return v
 
     def _departures(self, arrived):
         t = self.clock
         for vid in arrived:
-            v = self.vehicles.get(vid)
-            if v is None or v.collided_at is not None:
+            v = self.vehicles[vid]
+            if v.collided_at is not None:
                 continue
             self.events.append(Event(t, "Departure", (vid,), v.lane))
             self._remove_vehicle(vid)
             self.departed += 1
-        for vid in sorted(self.vehicles):
-            v = self.vehicles[vid]
-            if v.collided_at is not None and \
-                    t - v.collided_at >= self.config.collision_dwell:
-                self._remove_vehicle(vid)
-                self.collision_removed += 1
+        expired = [vid for vid, v in self.vehicles.items()
+                   if v.collided_at is not None
+                   and t - v.collided_at >= self.config.collision_dwell]
+        for vid in expired:
+            self._remove_vehicle(vid)
+            self.collision_removed += 1
 
     # -- public stepping -------------------------------------------------------
 
@@ -574,10 +579,16 @@ class Simulation:
             self._decision_step()
         accel = self._compute_accelerations(permitted)
         arrived = self._integrate(accel)
-        self._rebuild_lanes()
-        self._update_occupancy()
+        passed = self._update_occupancy()
+        # self.vehicles is in spawn order, not id order. Sort the two id
+        # lists whose order reaches an output: completed passages set the
+        # order of transitions into the learner, arrivals the order of
+        # Departure events.
+        for vid in sorted(passed):
+            # The Go that entered the zone resolves with no collision.
+            self._close_pending(vid, None, terminal=True)
         self._detect_collisions()
-        self._departures(arrived)
+        self._departures(sorted(arrived))
         self.step_count += 1
 
     def flush_pending(self):
@@ -588,7 +599,7 @@ class Simulation:
     def summary(self) -> RolloutSummary:
         return RolloutSummary(
             spawned=self.spawned, departed=self.departed,
-            collided=len(self.collided_ids),
+            collided=len({vid for pair in self.contacts for vid in pair}),
             collision_events=sum(1 for e in self.events
                                  if e.event_type == "Collision"),
             rv_spawned=self.rv_spawned, duration=self.clock)

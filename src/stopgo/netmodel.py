@@ -12,7 +12,8 @@ freely across concurrent rollouts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, replace
 
 LEFT = "left"
 STRAIGHT = "straight"
@@ -621,14 +622,7 @@ def generate_grid(num_unsignalized: int, num_signalized: int,
         conflict_pairs=tuple(dict.fromkeys(conflicts)),
         routes=(),
     )
-    routes = _build_boundary_routes(net)
-    net = Network(
-        intersections=net.intersections,
-        lanes=net.lanes,
-        movements=net.movements,
-        conflict_pairs=net.conflict_pairs,
-        routes=routes,
-    )
+    net = replace(net, routes=_build_boundary_routes(net))
     validate_network(net)
     return net
 
@@ -645,81 +639,52 @@ def boundary_exit_lanes(net: Network) -> list[str]:
     return [l.id for l in net.lanes if l.downstream_intersection is None]
 
 
-def shortest_lane_path(net: Network, origin: str, dest: str,
-                       exclude_turn: str | None = None) -> tuple[str, ...] | None:
-    """BFS shortest lane chain from origin lane to dest lane, deterministic
-    tie-breaking by lane id. Optionally ignores movements with a given turn."""
-    if origin == dest:
-        return (origin,)
-    prev: dict[str, str] = {origin: ""}
-    frontier = [origin]
+def _lane_tree(net: Network, origin: str) -> dict[str, tuple[str | None, int]]:
+    """Breadth-first tree of the lanes reachable from origin: lane ->
+    (previous lane, hops). Each lane's movements are expanded in lane-id
+    order, so of two equally short paths the one through smaller ids wins."""
+    tree: dict[str, tuple[str | None, int]] = {origin: (None, 0)}
+    frontier = deque([origin])
     while frontier:
-        nxt = []
-        for lane in frontier:
-            hops = sorted(net.movements_from_lane.get(lane, ()), key=lambda m: m.to_lane)
-            for m in hops:
-                if exclude_turn is not None and m.turn == exclude_turn:
-                    continue
-                if m.to_lane in prev:
-                    continue
-                prev[m.to_lane] = lane
-                if m.to_lane == dest:
-                    chain = [dest]
-                    while chain[-1] != origin:
-                        chain.append(prev[chain[-1]])
-                    return tuple(reversed(chain))
-                nxt.append(m.to_lane)
-        frontier = nxt
-    return None
+        lane = frontier.popleft()
+        hops = tree[lane][1] + 1
+        for m in sorted(net.movements_from_lane.get(lane, ()),
+                        key=lambda m: m.to_lane):
+            if m.to_lane not in tree:
+                tree[m.to_lane] = (lane, hops)
+                frontier.append(m.to_lane)
+    return tree
+
+
+def _chain_to(tree: dict[str, tuple[str | None, int]],
+              dest: str) -> tuple[str, ...]:
+    chain = [dest]
+    while tree[chain[-1]][0] is not None:
+        chain.append(tree[chain[-1]][0])
+    return tuple(reversed(chain))
+
+
+def shortest_lane_path(net: Network, origin: str,
+                       dest: str) -> tuple[str, ...] | None:
+    """BFS shortest lane chain from origin lane to dest lane, deterministic
+    tie-breaking by lane id; None when dest is unreachable."""
+    tree = _lane_tree(net, origin)
+    return _chain_to(tree, dest) if dest in tree else None
 
 
 def _build_boundary_routes(net: Network) -> tuple[Route, ...]:
-    entries = sorted(boundary_entry_lanes(net))
     exits = sorted(boundary_exit_lanes(net))
     routes = []
-    n = 0
-    for origin in entries:
+    for origin in sorted(boundary_entry_lanes(net)):
+        tree = _lane_tree(net, origin)
         # Skip the immediate reversal back out the same boundary node.
         u_turn = "L_" + "_".join(reversed(origin.split("_")[1:3])) \
             if origin.count("_") == 2 else None
         for dest in exits:
-            if dest == u_turn:
-                continue
-            chain = shortest_lane_path(net, origin, dest)
-            if chain is not None:
-                routes.append(Route(id=f"R{n}", lane_chain=chain))
-                n += 1
+            if dest != u_turn and dest in tree:
+                routes.append(Route(id=f"R{len(routes)}",
+                                    lane_chain=_chain_to(tree, dest)))
     return tuple(routes)
-
-
-def _path_to_any_exit(net: Network, origin: str) -> tuple[str, ...]:
-    """BFS from origin to the nearest boundary exit lane (ties by lane id)."""
-    exits = set(boundary_exit_lanes(net))
-    if origin in exits:
-        return (origin,)
-    prev: dict[str, str] = {origin: ""}
-    frontier = [origin]
-    while frontier:
-        nxt = []
-        found = []
-        for lane in frontier:
-            for m in sorted(net.movements_from_lane.get(lane, ()),
-                            key=lambda m: m.to_lane):
-                if m.to_lane in prev:
-                    continue
-                prev[m.to_lane] = lane
-                if m.to_lane in exits:
-                    found.append(m.to_lane)
-                else:
-                    nxt.append(m.to_lane)
-        if found:
-            dest = min(found)
-            chain = [dest]
-            while chain[-1] != origin:
-                chain.append(prev[chain[-1]])
-            return tuple(reversed(chain))
-        frontier = nxt
-    raise NetworkError(f"no boundary exit reachable from lane {origin!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -749,27 +714,18 @@ def remove_left_turns(net: Network) -> Network:
                 f"intersection {iid!r}: left movement {m.id!r} has no straight "
                 "counterpart on its approach")
 
-    movements = tuple(m for m in net.movements if m.turn != LEFT)
-    conflict_pairs = tuple(p for p in net.conflict_pairs
-                           if p[0] not in lefts and p[1] not in lefts)
-    intersections = []
-    for i in net.intersections:
-        plan = i.plan
-        if plan is not None:
-            plan = SignalPlan(phases=tuple(
-                Phase(ph.duration, frozenset(ph.permitted_movements - lefts))
-                for ph in plan.phases))
-        intersections.append(Intersection(id=i.id, control=i.control,
-                                          conflict_zone_id=i.conflict_zone_id,
-                                          plan=plan))
-
-    stripped = Network(
-        intersections=tuple(intersections),
-        lanes=net.lanes,
-        movements=movements,
-        conflict_pairs=conflict_pairs,
-        routes=(),
-    )
+    stripped = replace(
+        net,
+        intersections=tuple(
+            i if i.plan is None else replace(i, plan=SignalPlan(tuple(
+                replace(ph, permitted_movements=ph.permitted_movements - lefts)
+                for ph in i.plan.phases)))
+            for i in net.intersections),
+        movements=tuple(m for m in net.movements if m.turn != LEFT),
+        conflict_pairs=tuple(p for p in net.conflict_pairs
+                             if p[0] not in lefts and p[1] not in lefts),
+        routes=())
+    exits = boundary_exit_lanes(stripped)
 
     new_routes = []
     for r in net.routes:
@@ -783,22 +739,21 @@ def remove_left_turns(net: Network) -> Network:
                 idx += 1
                 continue
             cont = straight_from[chain[idx]].to_lane
-            tail = shortest_lane_path(stripped, cont, chain[-1])
-            if tail is None:
+            tree = _lane_tree(stripped, cont)
+            dest = chain[-1]
+            if dest not in tree:
                 # Original destination unreachable without lefts (corner
                 # approaches); keep the chain connected by running out to the
                 # nearest boundary exit instead.
-                tail = _path_to_any_exit(stripped, cont)
-            rebuilt.extend(tail)
+                reachable = [(tree[l][1], l) for l in exits if l in tree]
+                if not reachable:
+                    raise NetworkError(
+                        f"no boundary exit reachable from lane {cont!r}")
+                dest = min(reachable)[1]
+            rebuilt.extend(_chain_to(tree, dest))
             break
         new_routes.append(Route(id=r.id, lane_chain=tuple(rebuilt)))
 
-    out = Network(
-        intersections=stripped.intersections,
-        lanes=stripped.lanes,
-        movements=stripped.movements,
-        conflict_pairs=stripped.conflict_pairs,
-        routes=tuple(new_routes),
-    )
+    out = replace(stripped, routes=tuple(new_routes))
     validate_network(out)
     return out

@@ -15,6 +15,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import qnet
+from .agent import default_obs_scale
 from .qnet import NetSpec
 from .replay import ReplayBuffer, Transition
 
@@ -56,13 +57,6 @@ class LearnerConfig:
     @property
     def support(self) -> np.ndarray:
         return np.linspace(self.v_min, self.v_max, self.atoms)
-
-
-def default_obs_scale(obs_dim: int) -> np.ndarray:
-    """Fixed input scaling for (queue, delay, occupancy) triples."""
-    if obs_dim % 3 != 0:
-        raise ValueError("observation length must be a multiple of 3")
-    return np.tile(np.array([10.0, 50.0, 1.0]), obs_dim // 3)
 
 
 def categorical_projection(values: np.ndarray, masses: np.ndarray,

@@ -8,6 +8,7 @@ from stopgo.agent import (
     RewardWeights,
     build_observation,
     compute_reward,
+    default_obs_scale,
     lane_queue_and_delay,
     observation_lanes,
     observation_length,
@@ -40,6 +41,11 @@ def _veh(vid, speed, waiting):
     return VehicleState(id=vid, kind="HV", lane="L", position=0.0,
                         speed=speed, route_id="R", route_index=0,
                         waiting_time=waiting)
+
+
+def test_default_obs_scale_tiles_queue_delay_occupancy():
+    scale = default_obs_scale(12)
+    assert scale == pytest.approx(np.tile([10.0, 50.0, 1.0], 4))
 
 
 def test_lane_queue_and_delay():

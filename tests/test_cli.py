@@ -98,6 +98,28 @@ def test_simulate_requires_demand(tmp_path):
     assert run(["simulate", "--network", str(net)]) == 1
 
 
+@pytest.mark.parametrize("line,key", [("dt = 0", "dt"),
+                                      ("zone_length = 500", "zone_length")])
+def test_simulate_rejects_bad_engine_setting(tmp_path, capsys, line, key):
+    net = _netgen(tmp_path)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(line + "\n")
+    assert run(["simulate", "--network", str(net), "--demand", "10",
+                "--duration", "50", "--config", str(cfg)]) == 2
+    assert f"{key} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,key", [
+    (["--demand", "0"], "demand"),
+    (["--demand", "10", "--rv-rate", "1.5"], "rv_rate"),
+])
+def test_simulate_error_names_the_key(tmp_path, capsys, flags, key):
+    net = _netgen(tmp_path)
+    assert run(["simulate", "--network", str(net), "--duration", "50",
+                *flags]) == 2
+    assert f": {key} must be" in capsys.readouterr().err
+
+
 def test_train_writes_checkpoint_then_simulate_uses_it(tmp_path):
     net = _netgen(tmp_path)
     cfg = tmp_path / "train.cfg"

@@ -13,6 +13,7 @@ from stopgo.engine import (
     run_rollout,
     write_events_csv,
 )
+from stopgo.netmodel import GridGeometry, generate_grid
 from stopgo.signals import permitted_movements, phase_at
 
 
@@ -74,13 +75,28 @@ def test_rollout_is_deterministic_per_seed(net_2u):
     assert [format_event(e) for e in first] != [format_event(e) for e in other]
 
 
-def test_no_negative_gaps_among_healthy_vehicles(net_2u):
-    schedule = DemandSchedule(total_vehicles=60, horizon=120.0,
+@pytest.mark.parametrize("grid,demand,horizon,seed,steps", [
+    ((2, 0, 1, 2), 60, 120.0, 8, 2400),
+    ((6, 8, 2, 7), 1200, 1000.0, 1, 1500),
+], ids=["2U-demand60", "6U+8S-demand1200"])
+def test_no_negative_gaps_among_healthy_vehicles(grid, demand, horizon, seed,
+                                                 steps):
+    u, s, rows, cols = grid
+    net = generate_grid(u, s, GridGeometry(rows=rows, cols=cols))
+    schedule = DemandSchedule(total_vehicles=demand, horizon=horizon,
                               rv_penetration=0.5)
-    sim = Simulation(net_2u, schedule, RandomPolicy(), seed=8,
+    sim = Simulation(net, schedule, RandomPolicy(), seed=seed,
                      log_decisions=False)
-    for _ in range(2400):
+    for _ in range(steps):
         sim.step()
+        # The lane lists are kept front first and partition the vehicles.
+        on_lanes = []
+        for lane_id, vehicles in sim.lane_vehicles.items():
+            assert vehicles == sorted(vehicles,
+                                      key=lambda v: (-v.position, v.id))
+            assert all(v.lane == lane_id for v in vehicles)
+            on_lanes.extend(v.id for v in vehicles)
+        assert sorted(on_lanes) == sorted(sim.vehicles)
         for vehicles in sim.lane_vehicles.values():
             for lead, follow in zip(vehicles, vehicles[1:]):
                 if lead.collided_at is not None or follow.collided_at is not None:

@@ -8,7 +8,6 @@ from stopgo.rainbow import (
     LearnerConfig,
     PolicySnapshot,
     categorical_projection,
-    default_obs_scale,
     double_q_target,
     load_policy,
 )
@@ -36,11 +35,6 @@ def brute_force_projection(values, masses, support):
                 out[row, lo] += mass * (hi - b)
                 out[row, hi] += mass * (b - lo)
     return out
-
-
-def test_default_obs_scale_tiles_queue_delay_occupancy():
-    scale = default_obs_scale(12)
-    assert scale == pytest.approx(np.tile([10.0, 50.0, 1.0], 4))
 
 
 def test_projection_exact_atom_hit_keeps_mass_whole():
