@@ -1,11 +1,11 @@
 """Robot-vehicle interface: observations, Stop/Go actions, rewards.
 
-An RV is `controlled` while its front bumper is within CONTROL_ZONE meters
-of the stop line of a downstream unsignalized intersection. While
-controlled it picks Stop or Go at a fixed cadence; Stop brakes toward the
-stop line through a virtual standing leader, Go releases that constraint.
-Outside the zone (including inside the conflict zone itself) the vehicle
-is plain IDM.
+An RV is controlled (`Simulation.controlled`, derived, never stored) while
+its front bumper is within CONTROL_ZONE meters of the stop line of a
+downstream unsignalized intersection. While controlled it picks Stop or Go
+at a fixed cadence; Stop brakes toward the stop line through a virtual
+standing leader, Go releases that constraint. Outside the zone (including
+inside the conflict zone itself) the vehicle is plain IDM.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .idm import STOP_SPEED
-from .netmodel import Network, UNSIGNALIZED
+from .netmodel import Network
 
 GO = 0
 STOP = 1
@@ -85,15 +85,14 @@ def build_observation(world, net: Network, rv_id: str) -> np.ndarray:
     intersection, ego lane first.
 
     world must expose vehicles (id map), lane_vehicles (lane id -> vehicle
-    list), and zone_entry_lanes(intersection id) -> set of lane ids whose
-    vehicles currently occupy the conflict zone.
+    list), controlled(vehicle id) -> whether the Stop/Go policy drives it,
+    and zone_entry_lanes(intersection id) -> set of lane ids whose vehicles
+    currently occupy the conflict zone.
     """
-    rv = world.vehicles[rv_id]
-    if not rv.controlled:
+    if not world.controlled(rv_id):
         raise ValueError(f"{rv_id!r} is not inside any control zone")
+    rv = world.vehicles[rv_id]
     iid = net.lane_by_id[rv.lane].downstream_intersection
-    if iid is None or net.intersection_by_id[iid].control != UNSIGNALIZED:
-        raise ValueError(f"{rv_id!r} is not approaching an unsignalized intersection")
     occupied_from = world.zone_entry_lanes(iid)
     obs = np.empty(observation_length(net, iid), dtype=np.float64)
     for slot, lane_id in enumerate(observation_lanes(net, iid, rv.lane)):

@@ -19,6 +19,7 @@ import math
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +51,8 @@ class EngineConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
+        if self.zone_length <= 0:
+            raise ValueError("zone_length must be > 0")
 
     @property
     def decision_steps(self) -> int:
@@ -70,8 +73,12 @@ class DemandSchedule:
     def __post_init__(self):
         if self.total_vehicles <= 0:
             raise ValueError("total_vehicles must be > 0")
+        if self.horizon < 0:
+            raise ValueError("horizon must be >= 0")
         if not 0.0 <= self.rv_penetration <= 1.0:
             raise ValueError("rv_penetration must be in [0, 1]")
+        if self.axis_bias < 0:
+            raise ValueError("axis_bias must be >= 0")
 
     def arrival_time(self, k: int) -> float:
         return (k + 0.5) * self.horizon / self.total_vehicles
@@ -120,6 +127,16 @@ class AlwaysGoPolicy:
         return GO
 
 
+class _Lane(NamedTuple):
+    """What the engine reads of one lane; an exit lane has no intersection,
+    control or stop line."""
+    length: float
+    params: IdmParams           # desired speed capped at the speed limit
+    intersection: str | None    # downstream intersection id
+    control: str | None
+    stop_line: float | None
+
+
 @dataclass
 class _Pending:
     """An RV decision whose transition is not yet complete."""
@@ -139,14 +156,12 @@ class Simulation:
 
     def __init__(self, net: Network, schedule: DemandSchedule, policy,
                  seed: int, config: EngineConfig = EngineConfig(),
-                 idm_params: IdmParams = DEFAULT_IDM,
                  weights: RewardWeights = RewardWeights(),
                  transition_sink=None, log_decisions: bool = True):
         self.net = net
         self.schedule = schedule
         self.policy = policy
         self.config = config
-        self.idm_params = idm_params
         self.weights = weights
         self.transition_sink = transition_sink
         self.log_decisions = log_decisions
@@ -174,15 +189,23 @@ class Simulation:
         self._next_arrival = 0
         self._spawn_queues: dict[str, deque] = {}
         self._route_ids, self._route_probs = self._route_table()
-        self._params_cache: dict[tuple[IdmParams, float], IdmParams] = {}
         self._signalized = [i for i in net.intersections if i.control == SIGNALIZED]
-        self._stop_line: dict[str, float] = {
-            l.id: l.length - config.zone_length
-            for l in net.lanes if l.downstream_intersection is not None}
-        if any(line <= 0.0 for line in self._stop_line.values()):
-            raise ValueError(
-                f"zone_length = {config.zone_length:g} must be shorter than "
-                "every approach lane")
+        self._lanes: dict[str, _Lane] = {}
+        for lane in net.lanes:
+            params = DEFAULT_IDM
+            if params.desired_speed > lane.speed_limit:
+                params = replace(params, desired_speed=lane.speed_limit)
+            iid = lane.downstream_intersection
+            control = stop_line = None
+            if iid is not None:
+                control = net.intersection_by_id[iid].control
+                stop_line = lane.length - config.zone_length
+                if stop_line <= 0.0:
+                    raise ValueError(
+                        f"zone_length = {config.zone_length:g} must be shorter "
+                        "than every approach lane")
+            self._lanes[lane.id] = _Lane(lane.length, params, iid, control,
+                                         stop_line)
 
     # -- setup ---------------------------------------------------------------
 
@@ -207,13 +230,17 @@ class Simulation:
         return {self.net.movement_by_id[mid].from_lane
                 for mid in self.zone_occupancy[intersection_id].values()}
 
-    def _effective_params(self, params: IdmParams, limit: float) -> IdmParams:
-        if params.desired_speed <= limit:
-            return params
-        key = (params, limit)
-        if key not in self._params_cache:
-            self._params_cache[key] = replace(params, desired_speed=limit)
-        return self._params_cache[key]
+    def controlled(self, vid: str) -> bool:
+        """Whether the Stop/Go policy drives the vehicle: a healthy RV whose
+        front is within control_zone of the stop line of an unsignalized
+        intersection it will cross."""
+        v = self.vehicles[vid]
+        if v.kind != RV or v.collided_at is not None \
+                or self.next_move[vid] is None:
+            return False
+        lane = self._lanes[v.lane]
+        return (lane.control == UNSIGNALIZED and
+                0.0 <= lane.stop_line - v.position <= self.config.control_zone)
 
     def _movement_after(self, v: VehicleState) -> Movement | None:
         chain = self.net.route_by_id[v.route_id].lane_chain
@@ -240,21 +267,21 @@ class Simulation:
         cfg = self.config
         for origin in sorted(self._spawn_queues):
             queue = self._spawn_queues[origin]
+            params = self._lanes[origin].params
             while queue:
                 tail = self.lane_vehicles[origin]
                 tail = tail[-1] if tail else None
                 if tail is not None and tail.position - tail.length \
-                        < self.idm_params.min_gap + cfg.vehicle_length:
+                        < params.min_gap + cfg.vehicle_length:
                     break
                 k, route_id, kind = queue.popleft()
-                lane = self.net.lane_by_id[origin]
-                speed = min(lane.speed_limit, self.idm_params.desired_speed)
+                speed = params.desired_speed
                 if tail is not None:
                     speed = min(speed, tail.speed)
                 v = VehicleState(
                     id=f"V{k:06d}", kind=kind, lane=origin,
                     position=cfg.vehicle_length, speed=speed,
-                    route_id=route_id, route_index=0, idm=self.idm_params,
+                    route_id=route_id, route_index=0,
                     length=cfg.vehicle_length)
                 self.vehicles[v.id] = v
                 self.lane_vehicles[origin].append(v)
@@ -274,24 +301,6 @@ class Simulation:
                     self.config.all_red)
                 for inter in self._signalized}
 
-    def _refresh_control(self):
-        for v in self.vehicles.values():
-            if v.kind != RV or v.collided_at is not None:
-                v.controlled = False
-                continue
-            lane = self.net.lane_by_id[v.lane]
-            iid = lane.downstream_intersection
-            controlled = False
-            if iid is not None and \
-                    self.net.intersection_by_id[iid].control == UNSIGNALIZED:
-                dist = self._stop_line[v.lane] - v.position
-                if 0.0 <= dist <= self.config.control_zone \
-                        and self.next_move.get(v.id) is not None:
-                    controlled = True
-            if controlled and not v.controlled:
-                v.current_action = None   # brake until the first decision
-            v.controlled = controlled
-
     # -- decisions -----------------------------------------------------------
 
     def _close_pending(self, rv_id: str, next_obs, terminal: bool):
@@ -306,8 +315,7 @@ class Simulation:
 
     def _decision_step(self):
         t = self.clock
-        controlled = sorted(v.id for v in self.vehicles.values() if v.controlled)
-        for rv_id in controlled:
+        for rv_id in sorted(filter(self.controlled, self.vehicles)):
             v = self.vehicles[rv_id]
             obs = build_observation(self, self.net, rv_id)
             self._close_pending(rv_id, obs, terminal=False)
@@ -332,59 +340,48 @@ class Simulation:
     def _front_before_line(self, lane_id: str):
         """First vehicle on the lane whose front has not passed the stop
         line, or None."""
-        stop_line = self._stop_line[lane_id]
+        stop_line = self._lanes[lane_id].stop_line
         for v in self.lane_vehicles[lane_id]:
             if v.position <= stop_line:
                 return v
         return None
 
-    def _committed_runner(self, iid: str, movement: Movement) -> bool:
-        """True when some conflicting vehicle can no longer stop before its
-        own stop line even at the emergency limit, so it will sweep through
-        the zone regardless of its signal."""
-        for mid in self.net.conflict_sets[movement.id]:
-            other = self.net.movement_by_id[mid]
-            w = self._front_before_line(other.from_lane)
-            if w is None or w.collided_at is not None:
+    def _threats(self, movement: Movement):
+        """(w, w's distance to its stop line) for each approach lane with a
+        movement conflicting with `movement`, where w is the lane's front
+        vehicle before the line and is healthy, moving and about to take a
+        conflicting movement. Standing vehicles are no threat, which keeps
+        opposing queues from deadlocking."""
+        conflicts = self.net.conflict_sets[movement.id]
+        for lane_id in {self.net.movement_by_id[mid].from_lane
+                        for mid in conflicts}:
+            w = self._front_before_line(lane_id)
+            if w is None or w.collided_at is not None or w.speed < STOP_SPEED:
                 continue
-            if w.speed < STOP_SPEED:
-                continue
-            if self.next_move.get(w.id) is not other:
-                continue
-            dist = self._stop_line[other.from_lane] - w.position
-            if w.speed * w.speed / (2.0 * B_EMERGENCY) > dist:
-                return True
-        return False
+            w_move = self.next_move[w.id]
+            if w_move is not None and w_move.id in conflicts:
+                yield w, self._lanes[lane_id].stop_line - w.position
+
+    def _committed_runner(self, movement: Movement) -> bool:
+        """True when some threat can no longer stop before its own stop line
+        even at the emergency limit, so it will sweep through the zone
+        regardless of its signal."""
+        return any(w.speed * w.speed / (2.0 * B_EMERGENCY) > dist
+                   for w, dist in self._threats(movement))
 
     def _hv_cleared(self, iid: str, movement: Movement, claims) -> bool:
         """Gap acceptance at an unsignalized intersection: enter only when
-        the zone holds no conflicting vehicle, no conflicting approach has a
-        moving vehicle within gap_accept_tta of its stop line, and no
-        earlier-processed vehicle claimed a conflicting entry this step.
-        Standing vehicles are not treated as threats, which keeps opposing
-        queues from deadlocking."""
+        the zone holds no conflicting vehicle, no earlier-processed vehicle
+        claimed a conflicting entry this step, and every threat is at least
+        gap_accept_tta from its stop line."""
         if self._zone_conflict_occupied(iid, movement):
             return False
         claimed = claims.get(iid)
         conflicts = self.net.conflict_sets[movement.id]
         if claimed and any(mid in conflicts for mid in claimed):
             return False
-        seen_lanes = set()
-        for mid in conflicts:
-            other = self.net.movement_by_id[mid]
-            if other.from_lane in seen_lanes:
-                continue
-            seen_lanes.add(other.from_lane)
-            w = self._front_before_line(other.from_lane)
-            if w is None or w.collided_at is not None or w.speed < STOP_SPEED:
-                continue
-            w_move = self.next_move.get(w.id)
-            if w_move is None or w_move.id not in conflicts:
-                continue
-            tta = (self._stop_line[other.from_lane] - w.position) / w.speed
-            if tta < self.config.gap_accept_tta:
-                return False
-        return True
+        return all(dist / w.speed >= self.config.gap_accept_tta
+                   for w, dist in self._threats(movement))
 
     def _compute_accelerations(self, permitted) -> dict[str, float]:
         accel: dict[str, float] = {}
@@ -393,16 +390,11 @@ class Simulation:
         for lane_id, vehicles in self.lane_vehicles.items():
             if not vehicles:
                 continue
-            lane = self.net.lane_by_id[lane_id]
-            iid = lane.downstream_intersection
-            stop_line = self._stop_line.get(lane_id)
-            control = (self.net.intersection_by_id[iid].control
-                       if iid is not None else None)
+            length, params, iid, control, stop_line = self._lanes[lane_id]
             for i, v in enumerate(vehicles):
                 if v.collided_at is not None:
                     accel[v.id] = 0.0
                     continue
-                params = self._effective_params(v.idm, lane.speed_limit)
                 # Real leader: same lane, else the tail of the next route lane.
                 if i > 0:
                     lead = vehicles[i - 1]
@@ -415,7 +407,7 @@ class Simulation:
                         queue = self.lane_vehicles[nxt.to_lane]
                         if queue:
                             tail = queue[-1]
-                            gap = (lane.length - v.position) \
+                            gap = (length - v.position) \
                                 + tail.position - tail.length
                             dv = v.speed - tail.speed
                 a = idm_acceleration(v.speed, dv, max(gap, 1e-3), params)
@@ -432,11 +424,11 @@ class Simulation:
                             hold = True
                         elif d_stop <= cfg.engage_range:
                             hold = (self._zone_conflict_occupied(iid, movement)
-                                    or self._committed_runner(iid, movement))
+                                    or self._committed_runner(movement))
                     elif control == UNSIGNALIZED:
                         if v.kind == RV:
-                            if v.controlled and v.current_action != GO:
-                                hold = True
+                            hold = (self.controlled(v.id)
+                                    and v.current_action != GO)
                         elif d_stop <= cfg.engage_range \
                                 and self._front_before_line(lane_id) is v:
                             if self._hv_cleared(iid, movement, claims):
@@ -462,19 +454,18 @@ class Simulation:
             if v.collided_at is not None:
                 continue
             advance_vehicle(v, accel[vid], self.config.dt)
-            if v.position > self.net.lane_by_id[v.lane].length:
+            if v.position > self._lanes[v.lane].length:
                 if self.next_move[vid] is None:
                     arrived.append(vid)
                 else:
                     handed_off.append(v)
         for v in handed_off:
             self.lane_vehicles[v.lane].remove(v)
-            v.position -= self.net.lane_by_id[v.lane].length
+            v.position -= self._lanes[v.lane].length
             v.lane = self.next_move[v.id].to_lane
             v.route_index += 1
             v.waiting_time = 0.0
             v.current_action = None
-            v.controlled = False
             self.next_move[v.id] = self._movement_after(v)
             insort(self.lane_vehicles[v.lane], v,
                    key=lambda u: (-u.position, u.id))
@@ -487,11 +478,11 @@ class Simulation:
         for vid, v in self.vehicles.items():
             zone = self.zone_of.get(vid)
             if zone is None:
-                stop_line = self._stop_line.get(v.lane)
-                if stop_line is not None and v.position > stop_line:
+                lane = self._lanes[v.lane]
+                if lane.stop_line is not None and v.position > lane.stop_line:
                     movement = self.next_move.get(vid)
                     if movement is not None:
-                        iid = self.net.lane_by_id[v.lane].downstream_intersection
+                        iid = lane.intersection
                         self.zone_occupancy[iid][vid] = movement.id
                         self.zone_of[vid] = (iid, movement.id)
             else:
@@ -516,7 +507,6 @@ class Simulation:
             if v.collided_at is None:
                 v.collided_at = t
                 v.speed = 0.0
-                v.controlled = False
             if v.id in self.pending:
                 self.pending[v.id].collided = True
                 self._close_pending(v.id, None, terminal=True)
@@ -574,7 +564,6 @@ class Simulation:
         # queued behind a full entry lane, which are never dropped.
         self._spawn_step()
         permitted = self._permitted_now()
-        self._refresh_control()
         if self.step_count % self.config.decision_steps == 0:
             self._decision_step()
         accel = self._compute_accelerations(permitted)

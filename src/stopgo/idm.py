@@ -9,7 +9,7 @@ leader at the stop line, so every deceleration goes through one code path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 HV = "HV"
 RV = "RV"
@@ -91,11 +91,9 @@ class VehicleState:
     speed: float
     route_id: str
     route_index: int
-    idm: IdmParams = field(default=DEFAULT_IDM)
     length: float = 5.0
-    controlled: bool = False       # RV currently under the learned policy
     waiting_time: float = 0.0
-    current_action: str | None = None   # last Stop/Go decision while controlled
+    current_action: int | None = None   # last Stop/Go decision on this lane
     collided_at: float | None = None    # set when involved in a collision
 
 

@@ -108,6 +108,8 @@ class ExperimentSpec:
             raise MetricError("configs, rv_rates, and demands must be non-empty")
         if self.rollouts < 1:
             raise MetricError("rollouts must be >= 1")
+        if self.duration <= 0:
+            raise MetricError("duration must be > 0")
 
     def cells(self):
         """Canonical cell order: configs outermost, then rates, then demands."""

@@ -727,6 +727,7 @@ def remove_left_turns(net: Network) -> Network:
         routes=())
     exits = boundary_exit_lanes(stripped)
 
+    trees: dict[str, dict] = {}   # continuation lane -> its lane tree
     new_routes = []
     for r in net.routes:
         chain = r.lane_chain
@@ -739,7 +740,9 @@ def remove_left_turns(net: Network) -> Network:
                 idx += 1
                 continue
             cont = straight_from[chain[idx]].to_lane
-            tree = _lane_tree(stripped, cont)
+            if cont not in trees:
+                trees[cont] = _lane_tree(stripped, cont)
+            tree = trees[cont]
             dest = chain[-1]
             if dest not in tree:
                 # Original destination unreachable without lefts (corner

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .agent import RewardWeights, observation_length
 from .engine import (AlwaysGoPolicy, DemandSchedule, EngineConfig,
                      RandomPolicy, Simulation)
-from .idm import DEFAULT_IDM, IdmParams
 from .netmodel import Network, UNSIGNALIZED
 from .rainbow import Learner, LearnerConfig, load_policy
 
@@ -32,6 +31,18 @@ class ScenarioConfig:
     episode_duration: float = 240.0
     rv_penetration: float = 0.6
     axis_bias: float = 2.0
+
+    def __post_init__(self):
+        if self.episode_duration <= 0:
+            raise ValueError("episode_duration must be > 0")
+        self.schedule()   # the schedule checks the rest
+
+    def schedule(self) -> DemandSchedule:
+        """The spawn plan of every episode."""
+        return DemandSchedule(total_vehicles=self.demand,
+                              horizon=self.episode_duration,
+                              rv_penetration=self.rv_penetration,
+                              axis_bias=self.axis_bias)
 
 
 class TrainingPolicy:
@@ -61,7 +72,6 @@ def train(net: Network, episodes: int, seed: int, checkpoint_dir,
           scenario: ScenarioConfig = ScenarioConfig(),
           engine_config: EngineConfig = EngineConfig(),
           weights: RewardWeights = RewardWeights(),
-          idm_params: IdmParams = DEFAULT_IDM,
           resume_from=None, quiet: bool = False) -> Learner:
     """Run the full training loop and leave a checkpoint + curve CSV in
     checkpoint_dir. Bit-reproducible for fixed inputs and seed."""
@@ -79,6 +89,7 @@ def train(net: Network, episodes: int, seed: int, checkpoint_dir,
     ckpt_path = os.path.join(checkpoint_dir, CHECKPOINT_FILE)
 
     policy = TrainingPolicy(learner)
+    schedule = scenario.schedule()
     with open(curve_path, "w", encoding="utf-8", newline="\n") as curve:
         curve.write(",".join(CURVE_COLUMNS) + "\n")
         for episode in range(learner.episodes_done, episodes):
@@ -89,15 +100,9 @@ def train(net: Network, episodes: int, seed: int, checkpoint_dir,
                 learner.store(obs, action, reward, next_obs, terminal)
                 ep_rewards.append(reward)
 
-            schedule = DemandSchedule(
-                total_vehicles=scenario.demand,
-                horizon=scenario.episode_duration,
-                rv_penetration=scenario.rv_penetration,
-                axis_bias=scenario.axis_bias)
             sim = Simulation(net, schedule, policy, seed=seed + 1 + episode,
-                             config=engine_config, idm_params=idm_params,
-                             weights=weights, transition_sink=sink,
-                             log_decisions=False)
+                             config=engine_config, weights=weights,
+                             transition_sink=sink, log_decisions=False)
             steps = round(scenario.episode_duration / engine_config.dt)
             for _ in range(steps):
                 sim.step()

@@ -65,7 +65,7 @@ def test_build_observation_from_live_simulation(net_1u):
     for _ in range(600):
         sim.step()
         controlled = next((v for v in sim.vehicles.values()
-                           if v.controlled), None)
+                           if sim.controlled(v.id)), None)
         if controlled is not None:
             break
     assert controlled is not None
@@ -88,7 +88,8 @@ def test_build_observation_requires_control(net_1u):
                      log_decisions=False)
     while not sim.vehicles:
         sim.step()
-    uncontrolled = next(v for v in sim.vehicles.values() if not v.controlled)
+    uncontrolled = next(v for v in sim.vehicles.values()
+                        if not sim.controlled(v.id))
     with pytest.raises(ValueError):
         build_observation(sim, net_1u, uncontrolled.id)
 

@@ -99,7 +99,11 @@ def test_simulate_requires_demand(tmp_path):
 
 
 @pytest.mark.parametrize("line,key", [("dt = 0", "dt"),
-                                      ("zone_length = 500", "zone_length")])
+                                      ("zone_length = 500", "zone_length"),
+                                      ("zone_length = 0", "zone_length"),
+                                      ("zone_length = -3", "zone_length"),
+                                      ("horizon = -50", "horizon"),
+                                      ("axis_bias = -1", "axis_bias")])
 def test_simulate_rejects_bad_engine_setting(tmp_path, capsys, line, key):
     net = _netgen(tmp_path)
     cfg = tmp_path / "sim.cfg"
@@ -107,6 +111,17 @@ def test_simulate_rejects_bad_engine_setting(tmp_path, capsys, line, key):
     assert run(["simulate", "--network", str(net), "--demand", "10",
                 "--duration", "50", "--config", str(cfg)]) == 2
     assert f"{key} " in capsys.readouterr().err
+
+
+def test_sweep_rejects_zero_duration(tmp_path, capsys):
+    spec = tmp_path / "sweep.cfg"
+    spec.write_text("configs = 1U+0S\nrv_rates = 0.5\ndemands = 5\n"
+                    "rows = 1\ncols = 1\nduration = 0\n")
+    out = tmp_path / "r.csv"
+    assert run(["sweep", "--spec", str(spec), "--policy", "random",
+                "--out", str(out), "--quiet"]) == 2
+    assert ": duration must be > 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags,key", [
@@ -202,11 +217,19 @@ def test_netgen_rejects_impossible_grid(tmp_path):
 
 
 @pytest.mark.parametrize("line,key", [("hidden = 16,abc", "hidden"),
-                                      ("learning_rat = 0.1", "learning_rat")])
+                                      ("learning_rat = 0.1", "learning_rat"),
+                                      ("demand = 0", "demand"),
+                                      ("duration = -5", "duration")])
 def test_train_config_error_names_the_key(tmp_path, capsys, line, key):
     net = _netgen(tmp_path)
     cfg = tmp_path / "train.cfg"
-    cfg.write_text(FAST_TRAIN_CFG.replace("hidden = 16", line))
+    # Replace the line that sets the same key (the hidden line for a key the
+    # config lacks): a second line for one key is an error of its own.
+    name = line.split(" = ")[0]
+    old = next((l for l in FAST_TRAIN_CFG.splitlines()
+                if l.startswith(name + " = ")), "hidden = 16")
+    cfg.write_text(FAST_TRAIN_CFG.replace(old, line))
+    assert cfg.read_text().count(name + " = ") == 1
     ckpt_dir = tmp_path / "ck"
     assert run(["train", "--network", str(net), "--checkpoint", str(ckpt_dir),
                 "--config", str(cfg), "--quiet"]) == 2

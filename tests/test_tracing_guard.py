@@ -1,13 +1,25 @@
-"""The traced benchmark run (perfbench/tracing.py) wraps each function in
+"""What the benchmark (perfbench/) reads of stopgo must keep working.
+
+The traced benchmark run (perfbench/tracing.py) wraps each function in
 LAYERS where its caller looks it up, e.g. `stopgo.engine.phase_at`. A name
 that moves or disappears would crash only a traced run, so check here, in a
 fresh interpreter that imports stopgo the way the benchmark does, that every
-place still resolves to a callable."""
+place still resolves to a callable.
 
+The benchmark also checks every rollout it runs with perfbench/checks.py,
+which reads a finished `Simulation` directly; run those checks here on two
+real 2x7 rollouts (spawn conservation and the event counts)."""
+
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from stopgo.engine import DemandSchedule, RandomPolicy, Simulation
+from stopgo.netmodel import GridGeometry, generate_grid
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -34,3 +46,35 @@ def test_every_traced_place_resolves():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == []
+
+
+def _load_checks():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_checks", PERFBENCH / "checks.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+checks = _load_checks()
+
+
+# name: (unsignalized, signalized, demand, rv rate, seed, duration)
+ROLLOUTS = {
+    "12U+2S-demand1200": (12, 2, 1200, 0.6, 1, 300.0),
+    "0U+14S-demand600": (0, 14, 600, 0.6, 3, 200.0),
+}
+
+
+@pytest.mark.parametrize("name", list(ROLLOUTS))
+def test_benchmark_rollout_checks_pass(name):
+    u, s, demand, rate, seed, duration = ROLLOUTS[name]
+    net = generate_grid(u, s, GridGeometry(rows=2, cols=7))
+    schedule = DemandSchedule(total_vehicles=demand, horizon=1000.0,
+                              rv_penetration=rate)
+    sim = Simulation(net, schedule, RandomPolicy(), seed)
+    for _ in range(round(duration / sim.config.dt)):
+        sim.step()
+    sim.flush_pending()
+    assert checks.rollout_problems(checks.facts_from_sim(sim, name)) == []
