@@ -53,6 +53,10 @@ class EngineConfig:
             raise ValueError("dt must be > 0")
         if self.zone_length <= 0:
             raise ValueError("zone_length must be > 0")
+        if self.vehicle_length <= 0:
+            raise ValueError("vehicle_length must be > 0")
+        if self.control_zone < 0:
+            raise ValueError("control_zone must be >= 0")
 
     @property
     def decision_steps(self) -> int:

@@ -72,10 +72,8 @@ def categorical_projection(values: np.ndarray, masses: np.ndarray,
     batch, _ = values.shape
     z = len(support)
     v_min, v_max = float(support[0]), float(support[-1])
-    out = np.zeros((batch, z))
     if z == 1:
-        out[:, 0] = masses.sum(axis=1)
-        return out
+        return masses.sum(axis=1, keepdims=True)
     dz = (v_max - v_min) / (z - 1)
     b = (np.clip(values, v_min, v_max) - v_min) / dz
     lower = np.floor(b).astype(np.int64)
@@ -84,10 +82,13 @@ def categorical_projection(values: np.ndarray, masses: np.ndarray,
     upper_mass = masses * (b - lower)
     exact = lower == upper
     lower_mass[exact] += masses[exact]
-    rows = np.repeat(np.arange(batch), values.shape[1])
-    np.add.at(out, (rows, lower.ravel()), lower_mass.ravel())
-    np.add.at(out, (rows, upper.ravel()), upper_mass.ravel())
-    return out
+    # One bincount over the flat cells of all lower atoms, then all upper
+    # atoms: it adds in input order from zero, as two np.add.at calls do.
+    row_start = np.arange(batch)[:, None] * z
+    cells = np.concatenate(((row_start + lower).ravel(),
+                            (row_start + upper).ravel()))
+    mass = np.concatenate((lower_mass.ravel(), upper_mass.ravel()))
+    return np.bincount(cells, mass, minlength=batch * z).reshape(batch, z)
 
 
 def double_q_target(online_params, target_params, rewards: np.ndarray,
@@ -165,17 +166,13 @@ class Learner:
         if not self.ready():
             return None
         cfg = self.config
-        indices, transitions, weights = self.buffer.sample(
+        indices, batch, weights = self.buffer.sample(
             cfg.batch_size, self.beta_is(), self.rng)
-        x = self.scale(np.stack([t.obs for t in transitions]))
-        next_x = self.scale(np.stack([t.next_obs for t in transitions]))
-        actions = np.array([t.action for t in transitions], dtype=np.int64)
-        rewards = np.array([t.reward for t in transitions])
-        terminals = np.array([t.terminal for t in transitions])
-        targets = double_q_target(self.params, self.target_params, rewards,
-                                  next_x, terminals, cfg)
-        per_sample, grads = qnet.loss_and_grads(self.params, x, actions,
-                                                targets, weights)
+        targets = double_q_target(self.params, self.target_params,
+                                  batch.reward, self.scale(batch.next_obs),
+                                  batch.terminal, cfg)
+        per_sample, grads = qnet.loss_and_grads(
+            self.params, self.scale(batch.obs), batch.action, targets, weights)
         qnet.sgd_step(self.params, grads, cfg.learning_rate, cfg.grad_clip,
                       cfg.momentum, self.velocity)
         self.buffer.update_priorities(indices, per_sample)
@@ -205,8 +202,8 @@ class Learner:
 
     @classmethod
     def load(cls, path) -> "Learner":
-        """Restore parameters, counters, and RNG state; resuming after a
-        load continues the exact same stream of decisions."""
+        """Restore parameters, counters, and RNG state. The replay buffer
+        is not saved: the loaded learner starts with an empty one."""
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
             if meta["version"] != CHECKPOINT_VERSION:

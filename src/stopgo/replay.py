@@ -1,9 +1,22 @@
-"""Prioritized experience replay: sum-tree index plus ring storage.
+"""Prioritized experience replay: sum-tree index plus array ring storage.
 
 Transitions are sampled i.i.d. with probability proportional to
 priority^alpha_per, and importance-sampling weights (N * P(i))^(-beta) are
 returned normalized by the batch maximum. Priorities are |loss| + floor,
 with the exponent applied at store time.
+
+Storage is one NumPy array per field (obs, action, reward, next_obs,
+terminal), used as a ring of `capacity` rows. The arrays double in length
+as rows arrive, up to `capacity`, so a buffer that holds few transitions
+costs little memory. The sum tree is built at the first insert, for the
+same reason. A sample gathers its rows into a `Batch` of arrays.
+
+The tree keeps its nodes in a Python list of floats: a batch touches 32
+leaf-to-root paths, too few for NumPy's per-call overhead to pay, and
+plain floats add in the same IEEE order without boxing NumPy scalars. The
+priority exponent also stays a scalar Python `raw ** alpha_per`, because
+NumPy's array power rounds differently from it on some values, and that
+would change which transitions are drawn.
 """
 
 from __future__ import annotations
@@ -22,6 +35,33 @@ class Transition:
     terminal: bool
 
 
+@dataclass(frozen=True)
+class Batch:
+    """Transition rows as arrays: obs and next_obs [B, D], the rest [B].
+    The buffer's storage is one, and `sample` returns one. Iterating
+    yields the rows as `Transition`s."""
+    obs: np.ndarray
+    action: np.ndarray
+    reward: np.ndarray
+    next_obs: np.ndarray
+    terminal: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.action)
+
+    def __iter__(self):
+        for row in zip(self.obs, self.action.tolist(), self.reward.tolist(),
+                       self.next_obs, self.terminal.tolist()):
+            yield Transition(*row)
+
+
+def _extend(array: np.ndarray, rows: int) -> np.ndarray:
+    """A copy of array with room for `rows` rows; the new rows are unset."""
+    out = np.empty((rows,) + array.shape[1:], dtype=array.dtype)
+    out[:len(array)] = array
+    return out
+
+
 class SumTree:
     """Complete binary tree over leaf weights supporting O(log n) updates
     and prefix-sum lookup. Parents are recomputed as left + right on every
@@ -32,16 +72,17 @@ class SumTree:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.nodes = np.zeros(2 * capacity, dtype=np.float64)
+        self.nodes = [0.0] * (2 * capacity)
 
     def update(self, index: int, weight: float) -> None:
         if weight < 0:
             raise ValueError("weights must be non-negative")
+        nodes = self.nodes
         i = index + self.capacity
-        self.nodes[i] = weight
+        nodes[i] = weight
         i >>= 1
         while i >= 1:
-            self.nodes[i] = self.nodes[2 * i] + self.nodes[2 * i + 1]
+            nodes[i] = nodes[2 * i] + nodes[2 * i + 1]
             i >>= 1
 
     def total(self) -> float:
@@ -53,9 +94,10 @@ class SumTree:
     def find_prefix(self, prefix: float) -> int:
         """Smallest leaf index such that the cumulative weight up to and
         including it exceeds prefix. prefix must lie in [0, total)."""
+        nodes = self.nodes
         i = 1
         while i < self.capacity:
-            left = self.nodes[2 * i]
+            left = nodes[2 * i]
             if prefix < left:
                 i = 2 * i
             else:
@@ -70,32 +112,61 @@ class ReplayBuffer:
         self.capacity = capacity
         self.alpha_per = alpha_per
         self.priority_floor = priority_floor
-        self.storage: list[Transition] = []
-        self.tree = SumTree(capacity)
+        self.size = 0
         self.write_index = 0
         self.max_raw_priority = 1.0  # raw scale: |loss| + floor
+        self.tree: SumTree | None = None
+        # Storage arrays; rows [0, len(self)) hold the stored transitions.
+        self.store: Batch | None = None
 
     def __len__(self) -> int:
-        return len(self.storage)
+        return self.size
 
     def _store_priority(self, index: int, raw: float) -> None:
         self.tree.update(index, raw ** self.alpha_per)
 
+    def _reserve(self, transition: Transition) -> Batch:
+        """The storage arrays, with room for row write_index."""
+        store = self.store
+        if store is None:
+            self.tree = SumTree(self.capacity)
+            dim = len(transition.obs)
+            store = Batch(np.empty((0, dim)), np.empty(0, np.int64),
+                          np.empty(0), np.empty((0, dim)), np.empty(0, bool))
+        dim = store.obs.shape[1]
+        for name in ("obs", "next_obs"):
+            length = len(getattr(transition, name))
+            if length != dim:
+                raise ValueError(f"transition {name} has length {length}, "
+                                 f"the buffer stores length {dim}")
+        rows = len(store)
+        if self.write_index == rows:
+            grown = min(self.capacity, max(1, 2 * rows))
+            store = Batch(*(_extend(a, grown) for a in (
+                store.obs, store.action, store.reward, store.next_obs,
+                store.terminal)))
+        self.store = store
+        return store
+
     def insert(self, transition: Transition) -> int:
         """Add at maximum current priority; overwrite the oldest when full."""
+        store = self._reserve(transition)
         index = self.write_index
-        if len(self.storage) < self.capacity:
-            self.storage.append(transition)
-        else:
-            self.storage[index] = transition
-        self.write_index = (self.write_index + 1) % self.capacity
+        store.obs[index] = transition.obs
+        store.action[index] = transition.action
+        store.reward[index] = transition.reward
+        store.next_obs[index] = transition.next_obs
+        store.terminal[index] = transition.terminal
+        self.size = max(self.size, index + 1)
+        self.write_index = (index + 1) % self.capacity
         self._store_priority(index, self.max_raw_priority)
         return index
 
     def update_priorities(self, indices, losses) -> None:
         """Set priorities to |per-sample loss| + floor."""
-        for index, loss in zip(indices, losses):
-            raw = abs(float(loss)) + self.priority_floor
+        for index, loss in zip(np.asarray(indices).tolist(),
+                               np.asarray(losses, dtype=np.float64).tolist()):
+            raw = abs(loss) + self.priority_floor
             if raw > self.max_raw_priority:
                 self.max_raw_priority = raw
             self._store_priority(index, raw)
@@ -103,24 +174,25 @@ class ReplayBuffer:
     def sample(self, batch_size: int, beta: float, rng: np.random.Generator):
         """Draw batch_size transitions i.i.d. proportional to stored priority.
 
-        Returns (indices, transitions, weights) with weights = (N*P)^-beta
-        normalized by the batch maximum.
+        Returns (indices, batch, weights): batch is a `Batch` of the drawn
+        rows, weights = (N*P)^-beta normalized by the batch maximum.
         """
-        n = len(self.storage)
+        n = self.size
         if n < batch_size:
             raise ValueError(f"buffer holds {n} < batch size {batch_size}")
-        total = self.tree.total()
-        indices = np.empty(batch_size, dtype=np.int64)
-        probs = np.empty(batch_size, dtype=np.float64)
-        for b, u in enumerate(rng.random(batch_size)):
-            index = self.tree.find_prefix(u * total)
-            # Guard against landing on a zero-weight or never-written leaf
+        tree = self.tree
+        total = tree.total()
+        picked = []
+        for u in rng.random(batch_size).tolist():
+            # Clamp a draw that lands on a zero-weight or never-written leaf
             # at the float boundary.
-            if index >= n:
-                index = n - 1
-            indices[b] = index
-            probs[b] = self.tree.get(index) / total
+            picked.append(min(tree.find_prefix(u * total), n - 1))
+        indices = np.array(picked, dtype=np.int64)
+        probs = np.array([tree.get(i) for i in picked]) / total
         weights = (n * probs) ** (-beta)
         weights /= weights.max()
-        transitions = [self.storage[i] for i in indices]
-        return indices, transitions, weights
+        store = self.store
+        batch = Batch(store.obs[indices], store.action[indices],
+                      store.reward[indices], store.next_obs[indices],
+                      store.terminal[indices])
+        return indices, batch, weights

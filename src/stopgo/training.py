@@ -90,8 +90,11 @@ def train(net: Network, episodes: int, seed: int, checkpoint_dir,
 
     policy = TrainingPolicy(learner)
     schedule = scenario.schedule()
-    with open(curve_path, "w", encoding="utf-8", newline="\n") as curve:
-        curve.write(",".join(CURVE_COLUMNS) + "\n")
+    # A resumed run appends to the curve of the episodes already done.
+    mode = "w" if resume_from is None else "a"
+    with open(curve_path, mode, encoding="utf-8", newline="\n") as curve:
+        if curve.tell() == 0:
+            curve.write(",".join(CURVE_COLUMNS) + "\n")
         for episode in range(learner.episodes_done, episodes):
             ep_rewards: list[float] = []
             ep_losses: list[float] = []

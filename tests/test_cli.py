@@ -103,7 +103,11 @@ def test_simulate_requires_demand(tmp_path):
                                       ("zone_length = 0", "zone_length"),
                                       ("zone_length = -3", "zone_length"),
                                       ("horizon = -50", "horizon"),
-                                      ("axis_bias = -1", "axis_bias")])
+                                      ("axis_bias = -1", "axis_bias"),
+                                      ("control_zone = -1", "control_zone"),
+                                      ("vehicle_length = 0", "vehicle_length"),
+                                      ("vehicle_length = -5",
+                                       "vehicle_length")])
 def test_simulate_rejects_bad_engine_setting(tmp_path, capsys, line, key):
     net = _netgen(tmp_path)
     cfg = tmp_path / "sim.cfg"

@@ -37,6 +37,44 @@ def brute_force_projection(values, masses, support):
     return out
 
 
+def add_at_projection(values, masses, support):
+    """The projection as two np.add.at scatters, the form it had before
+    np.bincount; categorical_projection must match it bit for bit."""
+    batch, z = values.shape[0], len(support)
+    out = np.zeros((batch, z))
+    if z == 1:
+        out[:, 0] = masses.sum(axis=1)
+        return out
+    v_min, v_max = float(support[0]), float(support[-1])
+    b = (np.clip(values, v_min, v_max) - v_min) / ((v_max - v_min) / (z - 1))
+    lower = np.floor(b).astype(np.int64)
+    upper = np.ceil(b).astype(np.int64)
+    lower_mass = masses * (upper - b)
+    upper_mass = masses * (b - lower)
+    exact = lower == upper
+    lower_mass[exact] += masses[exact]
+    rows = np.repeat(np.arange(batch), values.shape[1])
+    np.add.at(out, (rows, lower.ravel()), lower_mass.ravel())
+    np.add.at(out, (rows, upper.ravel()), upper_mass.ravel())
+    return out
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 11, 51])
+def test_projection_equals_add_at_reference_exactly(atoms):
+    rng = np.random.default_rng(atoms)
+    support = np.linspace(-60.0, 60.0, atoms)
+    for _ in range(50):
+        values = rng.uniform(-90.0, 90.0, size=(32, atoms))
+        # exact atom hits, and values clipped at both ends
+        hits = rng.random(values.shape) < 0.2
+        values[hits] = rng.choice(support, size=hits.sum())
+        values[:, 0] = -1e3
+        values[:, -1] = 1e3
+        masses = rng.dirichlet(np.ones(atoms), size=32)
+        assert np.array_equal(categorical_projection(values, masses, support),
+                              add_at_projection(values, masses, support))
+
+
 def test_projection_exact_atom_hit_keeps_mass_whole():
     support = np.linspace(-2.0, 2.0, 5)
     values = np.array([[1.0, -2.0]])

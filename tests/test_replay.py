@@ -58,11 +58,151 @@ def test_sumtree_prefix_descent_matches_linear_scan(exponent, fraction, data):
 
 def test_buffer_is_a_ring():
     buf = ReplayBuffer(capacity=4)
-    for tag in range(6):
-        buf.insert(_transition(tag))
+    indices = [buf.insert(_transition(tag)) for tag in range(6)]
+    assert indices == [0, 1, 2, 3, 0, 1]
     assert len(buf) == 4
-    stored = sorted(int(t.reward) for t in buf.storage)
-    assert stored == [2, 3, 4, 5]
+    assert buf.store.reward.tolist() == [4.0, 5.0, 2.0, 3.0]
+    assert buf.store.obs[:, 0].tolist() == [4.0, 5.0, 2.0, 3.0]
+    assert buf.store.next_obs[:, 0].tolist() == [5.0, 6.0, 3.0, 4.0]
+
+
+def test_storage_grows_by_doubling_up_to_capacity():
+    buf = ReplayBuffer(capacity=37)
+    assert buf.store is None and buf.tree is None
+    lengths = []
+    for tag in range(40):
+        buf.insert(_transition(tag))
+        lengths.append(len(buf.store))
+    assert sorted(set(lengths)) == [1, 2, 4, 8, 16, 32, 37]
+    assert len(buf) == 37
+
+
+@pytest.mark.parametrize("field", ["obs", "next_obs"])
+def test_insert_rejects_another_obs_length(field):
+    buf = ReplayBuffer(capacity=8)
+    buf.insert(_transition(0))
+    bad = _transition(1)
+    setattr(bad, field, np.zeros(5))
+    with pytest.raises(ValueError, match=f"{field} has length 5.*length 4"):
+        buf.insert(bad)
+    assert len(buf) == 1 and buf.write_index == 1
+
+
+class ReferenceSumTree:
+    """The sum tree as it was before the float-list nodes: NumPy nodes,
+    the same loops."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.nodes = np.zeros(2 * capacity, dtype=np.float64)
+
+    def update(self, index, weight):
+        i = index + self.capacity
+        self.nodes[i] = weight
+        i >>= 1
+        while i >= 1:
+            self.nodes[i] = self.nodes[2 * i] + self.nodes[2 * i + 1]
+            i >>= 1
+
+    def total(self):
+        return self.nodes[1]
+
+    def get(self, index):
+        return self.nodes[index + self.capacity]
+
+    def find_prefix(self, prefix):
+        i = 1
+        while i < self.capacity:
+            left = self.nodes[2 * i]
+            if prefix < left:
+                i = 2 * i
+            else:
+                prefix -= left
+                i = 2 * i + 1
+        return i - self.capacity
+
+
+class ReferenceBuffer:
+    """The replay buffer as it was before the array store: a list of
+    `Transition`s and per-element loops."""
+
+    def __init__(self, capacity, alpha_per, priority_floor):
+        self.capacity = capacity
+        self.alpha_per = alpha_per
+        self.priority_floor = priority_floor
+        self.storage = []
+        self.tree = ReferenceSumTree(capacity)
+        self.write_index = 0
+        self.max_raw_priority = 1.0
+
+    def insert(self, transition):
+        index = self.write_index
+        if len(self.storage) < self.capacity:
+            self.storage.append(transition)
+        else:
+            self.storage[index] = transition
+        self.write_index = (self.write_index + 1) % self.capacity
+        self.tree.update(index, self.max_raw_priority ** self.alpha_per)
+        return index
+
+    def update_priorities(self, indices, losses):
+        for index, loss in zip(indices, losses):
+            raw = abs(float(loss)) + self.priority_floor
+            if raw > self.max_raw_priority:
+                self.max_raw_priority = raw
+            self.tree.update(index, raw ** self.alpha_per)
+
+    def sample(self, batch_size, beta, rng):
+        n = len(self.storage)
+        total = self.tree.total()
+        indices = np.empty(batch_size, dtype=np.int64)
+        probs = np.empty(batch_size, dtype=np.float64)
+        for b, u in enumerate(rng.random(batch_size)):
+            index = self.tree.find_prefix(u * total)
+            if index >= n:
+                index = n - 1
+            indices[b] = index
+            probs[b] = self.tree.get(index) / total
+        weights = (n * probs) ** (-beta)
+        weights /= weights.max()
+        return indices, [self.storage[i] for i in indices], weights
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.6])
+def test_buffer_matches_list_reference_bit_for_bit(alpha):
+    # Capacity 37 is no power of two, and 600 inserts wrap the ring.
+    buf, ref = ReplayBuffer(37, alpha, 1e-3), ReferenceBuffer(37, alpha, 1e-3)
+    drive = np.random.default_rng(11)
+    rng_buf, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(300):
+        for _ in range(int(drive.integers(1, 4))):
+            obs = drive.normal(size=6)
+            t = Transition(obs=obs, action=int(drive.integers(2)),
+                           reward=float(drive.normal(scale=20.0)),
+                           next_obs=obs + drive.normal(size=6),
+                           terminal=bool(drive.random() < 0.1))
+            assert buf.insert(t) == ref.insert(t)
+        if len(buf) >= 8:
+            beta = float(drive.uniform(0.4, 1.0))
+            indices, batch, weights = buf.sample(8, beta, rng_buf)
+            ref_indices, rows, ref_weights = ref.sample(8, beta, rng_ref)
+            assert np.array_equal(indices, ref_indices)
+            assert np.array_equal(weights, ref_weights)
+            assert np.array_equal(batch.obs, np.stack([r.obs for r in rows]))
+            assert np.array_equal(batch.next_obs,
+                                  np.stack([r.next_obs for r in rows]))
+            assert batch.action.tolist() == [r.action for r in rows]
+            assert batch.reward.tolist() == [r.reward for r in rows]
+            assert batch.terminal.tolist() == [r.terminal for r in rows]
+            # Duplicate indices: the last write to a leaf wins in both.
+            again = np.concatenate([indices, indices[:3]])
+            losses = drive.exponential(scale=3.0, size=len(again))
+            losses[::2] *= -1
+            buf.update_priorities(again, losses)
+            ref.update_priorities(again, losses)
+        assert buf.tree.total() == ref.tree.total()
+        assert buf.max_raw_priority == ref.max_raw_priority
+    assert ref.write_index == buf.write_index and len(ref.storage) == len(buf)
 
 
 def test_new_inserts_get_max_raw_priority(rng):

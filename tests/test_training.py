@@ -51,6 +51,9 @@ def test_resume_continues_episode_count(tmp_path, net_1u):
                     learner_config=FAST, scenario=SHORT,
                     resume_from=resolve_checkpoint(tmp_path), quiet=True)
     assert resumed.episodes_done == 4
+    curve = (tmp_path / CURVE_FILE).read_text().splitlines()
+    assert curve[0] == ",".join(CURVE_COLUMNS)
+    assert [row.split(",")[0] for row in curve[1:]] == ["0", "1", "2", "3"]
 
 
 def test_resolve_checkpoint_accepts_dir_or_file(tmp_path, net_1u):
