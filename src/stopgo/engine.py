@@ -5,6 +5,13 @@ One rollout is a pure function of (network, demand, policy, seed): a fixed
 positions, conflict-zone occupancy, collision detection, and departures in
 a fixed order, so identical inputs give byte-identical event logs.
 
+A step costs about what its traffic costs. Signalized intersections that
+share a timing share one phase lookup, and their permitted sets are reused
+until a timing changes phase or enters its clearance tail. Threat lanes are
+tabled per movement at construction. Empty lanes and single-vehicle lanes
+are skipped, and wrecks are kept in collision order, so dwell expiry reads
+only the wrecks.
+
 Geometry convention: a vehicle's `position` is its front bumper's distance
 from the lane start. The last `zone_length` meters of every lane feeding an
 intersection form that intersection's interior (the conflict zone); the
@@ -28,7 +35,7 @@ from .agent import (GO, ACTION_NAMES, CONTROL_ZONE, DECISION_PERIOD,
 from .idm import (B_EMERGENCY, DEFAULT_IDM, HV, RV, STOP_SPEED, IdmParams,
                   VehicleState, advance_vehicle, idm_acceleration)
 from .netmodel import Network, Movement, SIGNALIZED, UNSIGNALIZED
-from .signals import permitted_movements, phase_at
+from .signals import in_clearance, permitted_movements, phase_at
 
 REAR_END = "RearEnd"
 CROSSING = "Crossing"
@@ -55,8 +62,12 @@ class EngineConfig:
             raise ValueError("zone_length must be > 0")
         if self.vehicle_length <= 0:
             raise ValueError("vehicle_length must be > 0")
-        if self.control_zone < 0:
-            raise ValueError("control_zone must be >= 0")
+        for name in ("gap_accept_tta", "engage_range", "collision_dwell",
+                     "all_red", "control_zone"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.decision_period <= 0:
+            raise ValueError("decision_period must be > 0")
 
     @property
     def decision_steps(self) -> int:
@@ -178,6 +189,8 @@ class Simulation:
             lane_id: [] for lane_id in sorted(net.lane_by_id)}
         self.zone_occupancy: dict[str, dict[str, str]] = {
             i.id: {} for i in net.intersections}
+        self._zones = [(i.conflict_zone_id, self.zone_occupancy[i.id])
+                       for i in net.intersections]
         self.zone_of: dict[str, tuple[str, str]] = {}
         self.next_move: dict[str, Movement | None] = {}
         self.pending: dict[str, _Pending] = {}
@@ -190,10 +203,34 @@ class Simulation:
         self.departed = 0
         self.collision_removed = 0
 
+        # Signalized intersection id -> the movements its signal lets enter
+        # at the current step (see _update_signals).
+        self.permitted: dict[str, frozenset[str]] = {}
+
+        self._decision_steps = config.decision_steps
         self._next_arrival = 0
-        self._spawn_queues: dict[str, deque] = {}
+        self._spawn_queues: dict[str, deque] = {}   # origin lane -> arrivals
+        self._wrecks: deque[VehicleState] = deque()  # in collision order
         self._route_ids, self._route_probs = self._route_table()
-        self._signalized = [i for i in net.intersections if i.control == SIGNALIZED]
+        # Signalized intersections grouped by their phase durations, the
+        # only part of a plan that phase_at reads: one lookup per group.
+        groups: dict[tuple[float, ...], list] = {}
+        for inter in net.intersections:
+            if inter.control == SIGNALIZED:
+                durations = tuple(p.duration for p in inter.plan.phases)
+                if config.all_red >= min(durations):
+                    raise ValueError(
+                        f"all_red = {config.all_red:g} must be shorter than "
+                        "every signal phase")
+                groups.setdefault(durations, []).append(inter)
+        self._signal_groups = [(members[0].plan, members)
+                               for members in groups.values()]
+        self._signal_key = None
+        # Movement id -> the approach lanes of its conflicting movements.
+        self._threat_lanes = {
+            mid: tuple(sorted({net.movement_by_id[c].from_lane
+                               for c in conflicts}))
+            for mid, conflicts in net.conflict_sets.items()}
         self._lanes: dict[str, _Lane] = {}
         for lane in net.lanes:
             params = DEFAULT_IDM
@@ -295,15 +332,27 @@ class Simulation:
                     self.rv_spawned += 1
                 self.events.append(Event(t, "Spawn", (v.id,), origin,
                                          f"kind={kind};route={route_id}"))
+            if not queue:
+                del self._spawn_queues[origin]
 
-    # -- per-step caches -----------------------------------------------------
+    # -- signals -------------------------------------------------------------
 
-    def _permitted_now(self) -> dict[str, frozenset[str]]:
+    def _update_signals(self):
+        """Set `permitted` for the current step. A group's permitted sets
+        change only with its phase or on entering the clearance tail, so
+        they are rebuilt only when some group's (phase, in tail) changes."""
         t = self.clock
-        return {inter.id: permitted_movements(
-                    inter.plan, phase_at(inter.plan, t, inter.id),
-                    self.config.all_red)
-                for inter in self._signalized}
+        all_red = self.config.all_red
+        states = [phase_at(plan, t) for plan, _ in self._signal_groups]
+        key = [(state.phase_index, in_clearance(plan, state, all_red))
+               for (plan, _), state in zip(self._signal_groups, states)]
+        if key == self._signal_key:
+            return
+        self._signal_key = key
+        self.permitted = {
+            inter.id: permitted_movements(inter.plan, state, all_red)
+            for (_, members), state in zip(self._signal_groups, states)
+            for inter in members}
 
     # -- decisions -----------------------------------------------------------
 
@@ -357,8 +406,7 @@ class Simulation:
         conflicting movement. Standing vehicles are no threat, which keeps
         opposing queues from deadlocking."""
         conflicts = self.net.conflict_sets[movement.id]
-        for lane_id in {self.net.movement_by_id[mid].from_lane
-                        for mid in conflicts}:
+        for lane_id in self._threat_lanes[movement.id]:
             w = self._front_before_line(lane_id)
             if w is None or w.collided_at is not None or w.speed < STOP_SPEED:
                 continue
@@ -387,39 +435,43 @@ class Simulation:
         return all(dist / w.speed >= self.config.gap_accept_tta
                    for w, dist in self._threats(movement))
 
-    def _compute_accelerations(self, permitted) -> dict[str, float]:
+    def _compute_accelerations(self) -> dict[str, float]:
         accel: dict[str, float] = {}
         claims: dict[str, list[str]] = {}
         cfg = self.config
-        for lane_id, vehicles in self.lane_vehicles.items():
+        permitted = self.permitted
+        next_move = self.next_move
+        lane_vehicles = self.lane_vehicles
+        # Read the IDM law at call time, so that a wrapper set on the
+        # module global sees every call.
+        idm = idm_acceleration
+        for lane_id, vehicles in lane_vehicles.items():
             if not vehicles:
                 continue
             length, params, iid, control, stop_line = self._lanes[lane_id]
-            for i, v in enumerate(vehicles):
+            lead = None     # the previous vehicle on the lane, collided or not
+            for v in vehicles:
                 if v.collided_at is not None:
                     accel[v.id] = 0.0
+                    lead = v
                     continue
+                movement = next_move[v.id]
                 # Real leader: same lane, else the tail of the next route lane.
-                if i > 0:
-                    lead = vehicles[i - 1]
+                if lead is not None:
                     gap = lead.position - lead.length - v.position
                     dv = v.speed - lead.speed
+                elif movement is not None and lane_vehicles[movement.to_lane]:
+                    tail = lane_vehicles[movement.to_lane][-1]
+                    gap = (length - v.position) + tail.position - tail.length
+                    dv = v.speed - tail.speed
                 else:
                     gap, dv = math.inf, 0.0
-                    nxt = self.next_move.get(v.id)
-                    if nxt is not None:
-                        queue = self.lane_vehicles[nxt.to_lane]
-                        if queue:
-                            tail = queue[-1]
-                            gap = (length - v.position) \
-                                + tail.position - tail.length
-                            dv = v.speed - tail.speed
-                a = idm_acceleration(v.speed, dv, max(gap, 1e-3), params)
+                lead = v
+                a = idm(v.speed, dv, gap if gap > 1e-3 else 1e-3, params)
 
                 # Stop-line constraints apply only before the line.
                 if stop_line is not None and v.position <= stop_line:
                     d_stop = stop_line - v.position
-                    movement = self.next_move.get(v.id)
                     hold = False
                     if movement is None:
                         hold = False
@@ -440,9 +492,10 @@ class Simulation:
                             else:
                                 hold = True
                     if hold:
-                        a_line = idm_acceleration(
-                            v.speed, v.speed, max(d_stop, 1e-3), params)
-                        a = min(a, a_line)
+                        a_line = idm(v.speed, v.speed,
+                                     d_stop if d_stop > 1e-3 else 1e-3, params)
+                        if a_line < a:
+                            a = a_line
                 accel[v.id] = a
         return accel
 
@@ -454,11 +507,13 @@ class Simulation:
         stays in order; a handed-off vehicle is inserted only once every
         position is current. Returns the ids that reached their exit's end."""
         arrived, handed_off = [], []
+        dt, lanes = self.config.dt, self._lanes
+        advance = advance_vehicle   # read at call time, as in accelerations
         for vid, v in self.vehicles.items():
             if v.collided_at is not None:
                 continue
-            advance_vehicle(v, accel[vid], self.config.dt)
-            if v.position > self._lanes[v.lane].length:
+            advance(v, accel[vid], dt)
+            if v.position > lanes[v.lane].length:
                 if self.next_move[vid] is None:
                     arrived.append(vid)
                 else:
@@ -479,16 +534,17 @@ class Simulation:
         """Enter and clear conflict zones; returns the ids whose passage
         completed with a decision pending."""
         passed = []
+        zone_of, lanes = self.zone_of, self._lanes
         for vid, v in self.vehicles.items():
-            zone = self.zone_of.get(vid)
+            zone = zone_of.get(vid)
             if zone is None:
-                lane = self._lanes[v.lane]
+                lane = lanes[v.lane]
                 if lane.stop_line is not None and v.position > lane.stop_line:
-                    movement = self.next_move.get(vid)
+                    movement = self.next_move[vid]
                     if movement is not None:
                         iid = lane.intersection
                         self.zone_occupancy[iid][vid] = movement.id
-                        self.zone_of[vid] = (iid, movement.id)
+                        zone_of[vid] = (iid, movement.id)
             else:
                 iid, mid = zone
                 movement = self.net.movement_by_id[mid]
@@ -496,7 +552,7 @@ class Simulation:
                            and v.position >= v.length)
                 if cleared:
                     del self.zone_occupancy[iid][vid]
-                    del self.zone_of[vid]
+                    del zone_of[vid]
                     if vid in self.pending:
                         passed.append(vid)
         return passed
@@ -511,6 +567,7 @@ class Simulation:
             if v.collided_at is None:
                 v.collided_at = t
                 v.speed = 0.0
+                self._wrecks.append(v)
             if v.id in self.pending:
                 self.pending[v.id].collided = True
                 self._close_pending(v.id, None, terminal=True)
@@ -518,12 +575,14 @@ class Simulation:
     def _detect_collisions(self):
         t = self.clock
         for lane_id, vehicles in self.lane_vehicles.items():
-            for i in range(1, len(vehicles)):
-                lead, follower = vehicles[i - 1], vehicles[i]
+            if len(vehicles) < 2:
+                continue
+            lead = vehicles[0]
+            for follower in vehicles[1:]:
                 if lead.position - lead.length - follower.position <= 0.0:
                     self._record_collision(t, REAR_END, lead, follower, lane_id)
-        for inter in self.net.intersections:
-            occupancy = self.zone_occupancy[inter.id]
+                lead = follower
+        for zone_id, occupancy in self._zones:
             if len(occupancy) < 2:
                 continue
             entries = sorted(occupancy.items())
@@ -534,7 +593,7 @@ class Simulation:
                     if self.net.conflicts(m1, m2):
                         self._record_collision(
                             t, CROSSING, self.vehicles[vid1],
-                            self.vehicles[vid2], inter.conflict_zone_id)
+                            self.vehicles[vid2], zone_id)
 
     def _remove_vehicle(self, vid: str):
         v = self.vehicles.pop(vid)
@@ -554,11 +613,10 @@ class Simulation:
             self.events.append(Event(t, "Departure", (vid,), v.lane))
             self._remove_vehicle(vid)
             self.departed += 1
-        expired = [vid for vid, v in self.vehicles.items()
-                   if v.collided_at is not None
-                   and t - v.collided_at >= self.config.collision_dwell]
-        for vid in expired:
-            self._remove_vehicle(vid)
+        # Wrecks are listed in collision order, so the expired ones lead.
+        wrecks = self._wrecks
+        while wrecks and t - wrecks[0].collided_at >= self.config.collision_dwell:
+            self._remove_vehicle(wrecks.popleft().id)
             self.collision_removed += 1
 
     # -- public stepping -------------------------------------------------------
@@ -567,10 +625,10 @@ class Simulation:
         # Arrival times are bounded by the horizon; this also retries spawns
         # queued behind a full entry lane, which are never dropped.
         self._spawn_step()
-        permitted = self._permitted_now()
-        if self.step_count % self.config.decision_steps == 0:
+        self._update_signals()
+        if self.step_count % self._decision_steps == 0:
             self._decision_step()
-        accel = self._compute_accelerations(permitted)
+        accel = self._compute_accelerations()
         arrived = self._integrate(accel)
         passed = self._update_occupancy()
         # self.vehicles is in spawn order, not id order. Sort the two id

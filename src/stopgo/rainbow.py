@@ -205,20 +205,12 @@ class Learner:
         """Restore parameters, counters, and RNG state. The replay buffer
         is not saved: the loaded learner starts with an empty one."""
         with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
-            if meta["version"] != CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version {meta['version']}")
-            cfg_dict = meta["config"]
-            cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
-            config = LearnerConfig(**cfg_dict)
+            meta, config = _read_meta(data)
             learner = cls(meta["obs_dim"], config, seed=0)
-            learner.params = {k[len("online/"):]: data[k].copy()
-                              for k in data.files if k.startswith("online/")}
-            learner.target_params = {k[len("target/"):]: data[k].copy()
-                                     for k in data.files if k.startswith("target/")}
-            learner.velocity = {k[len("velocity/"):]: data[k].copy()
-                                for k in data.files if k.startswith("velocity/")}
-            learner.obs_scale = data["obs_scale"].copy()
+            learner.params = _arrays(data, "online/")
+            learner.target_params = _arrays(data, "target/")
+            learner.velocity = _arrays(data, "velocity/")
+            learner.obs_scale = data["obs_scale"]
         learner.train_steps = meta["train_steps"]
         learner.episodes_done = meta["episodes_done"]
         learner.rng.bit_generator.state = meta["rng_state"]
@@ -242,5 +234,24 @@ class PolicySnapshot:
         return int(np.argmax(qnet.q_values(self.params, scaled, self.support)))
 
 
+def _read_meta(data) -> tuple[dict, LearnerConfig]:
+    """An open checkpoint's metadata and learner config, after checking its
+    version. The arrays are decompressed only when read."""
+    meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
+    if meta["version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {meta['version']}")
+    cfg = dict(meta["config"], hidden=tuple(meta["config"]["hidden"]))
+    return meta, LearnerConfig(**cfg)
+
+
+def _arrays(data, prefix: str) -> dict[str, np.ndarray]:
+    return {k[len(prefix):]: data[k] for k in data.files if k.startswith(prefix)}
+
+
 def load_policy(path) -> PolicySnapshot:
-    return Learner.load(path).snapshot()
+    """The greedy policy of a saved Learner: reads only the online
+    parameters, the observation scale and the atom support."""
+    with np.load(path, allow_pickle=False) as data:
+        _, config = _read_meta(data)
+        return PolicySnapshot(_arrays(data, "online/"), config.support,
+                              data["obs_scale"])

@@ -41,7 +41,13 @@ def permitted_movements(plan: SignalPlan, state: PhaseState,
     Unsignalized intersections have no plan; permission there is delegated
     to RV decisions and HV gap acceptance in the engine.
     """
-    phase = plan.phases[state.phase_index]
-    if all_red > 0.0 and state.time_into_phase >= phase.duration - all_red:
+    if in_clearance(plan, state, all_red):
         return frozenset()
-    return phase.permitted_movements
+    return plan.phases[state.phase_index].permitted_movements
+
+
+def in_clearance(plan: SignalPlan, state: PhaseState, all_red: float) -> bool:
+    """Whether the phase state lies in its phase's last all_red seconds,
+    where the signal permits no movement."""
+    duration = plan.phases[state.phase_index].duration
+    return all_red > 0.0 and state.time_into_phase >= duration - all_red

@@ -107,9 +107,22 @@ def test_simulate_requires_demand(tmp_path):
                                       ("control_zone = -1", "control_zone"),
                                       ("vehicle_length = 0", "vehicle_length"),
                                       ("vehicle_length = -5",
-                                       "vehicle_length")])
+                                       "vehicle_length"),
+                                      ("all_red = -1", "all_red"),
+                                      ("all_red = 15", "all_red"),
+                                      ("engage_range = -1", "engage_range"),
+                                      ("gap_accept_tta = -1",
+                                       "gap_accept_tta"),
+                                      ("collision_dwell = -5",
+                                       "collision_dwell"),
+                                      ("decision_period = 0",
+                                       "decision_period"),
+                                      ("decision_period = -3",
+                                       "decision_period")])
 def test_simulate_rejects_bad_engine_setting(tmp_path, capsys, line, key):
-    net = _netgen(tmp_path)
+    # One signalized junction (four 15 s phases), so that an all_red as
+    # long as a phase reaches a signal plan.
+    net = _netgen(tmp_path, unsignalized=0, signalized=1)
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(line + "\n")
     assert run(["simulate", "--network", str(net), "--demand", "10",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from stopgo.engine import (
@@ -215,6 +217,43 @@ def test_red_signal_holds_vehicles_at_the_line(net_1s, all_red):
         previous = {(vid, v.lane): v.position
                     for vid, v in sim.vehicles.items()}
     assert sim.summary().departed > 0
+
+
+@pytest.mark.parametrize("all_red", [0.0, 3.0])
+def test_signals_with_several_timings_follow_each_plan(all_red):
+    """The engine looks a phase up once per distinct timing and reuses the
+    permitted sets while no timing changes phase or enters its clearance
+    tail; with several timings each intersection still follows its own."""
+    net = generate_grid(0, 6, GridGeometry(rows=2, cols=3))
+    intersections = []
+    for k, inter in enumerate(net.intersections):
+        if k % 2:   # every other plan gets longer, unequal phases
+            phases = tuple(replace(phase, duration=phase.duration + k + j)
+                           for j, phase in enumerate(inter.plan.phases))
+            inter = replace(inter, plan=replace(inter.plan, phases=phases))
+        intersections.append(inter)
+    net = replace(net, intersections=tuple(intersections))
+    assert len({i.plan.cycle_length for i in net.intersections}) == 4
+    schedule = DemandSchedule(total_vehicles=60, horizon=200.0,
+                              rv_penetration=0.0)
+    sim = Simulation(net, schedule, AlwaysGoPolicy(), seed=2,
+                     config=EngineConfig(all_red=all_red))
+    longest = max(i.plan.cycle_length for i in net.intersections)
+    while sim.clock < 2 * longest:
+        t = sim.clock
+        sim.step()
+        assert sim.permitted == {
+            i.id: permitted_movements(i.plan, phase_at(i.plan, t), all_red)
+            for i in net.intersections}
+
+
+def test_all_red_must_be_shorter_than_every_phase(net_1s):
+    schedule = DemandSchedule(total_vehicles=10)
+    with pytest.raises(ValueError, match="all_red = 15 must be shorter"):
+        Simulation(net_1s, schedule, AlwaysGoPolicy(), seed=1,
+                   config=EngineConfig(all_red=15.0))
+    Simulation(net_1s, schedule, AlwaysGoPolicy(), seed=1,
+               config=EngineConfig(all_red=14.9))
 
 
 def test_all_signalized_grid_has_no_crossing_collisions(net_1s):

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stopgo.qnet import NetSpec, forward_batch, init_params, q_values_batch
 from stopgo.rainbow import (
+    CHECKPOINT_VERSION,
     Learner,
     LearnerConfig,
     PolicySnapshot,
@@ -244,3 +247,25 @@ def test_snapshot_and_load_policy_decide_greedily(tmp_path):
                        learner.config.support)[0]
     assert snap.decide(obs) == int(np.argmax(q))
     assert snap.decide(obs) == learner.snapshot().decide(obs)
+    for key, value in learner.params.items():
+        assert np.array_equal(snap.params[key], value)
+    assert snap.params.keys() == learner.params.keys()
+    assert np.array_equal(snap.support, learner.config.support)
+    assert np.array_equal(snap.obs_scale, learner.obs_scale)
+
+
+@pytest.mark.parametrize("load", [load_policy, Learner.load],
+                         ids=["load_policy", "Learner.load"])
+def test_loading_rejects_another_checkpoint_version(tmp_path, load):
+    path = tmp_path / "ck.npz"
+    Learner(6, TINY, seed=1).save(path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
+    meta["version"] = CHECKPOINT_VERSION + 1
+    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                        dtype=np.uint8)
+    np.savez_compressed(path, **arrays)
+    with pytest.raises(ValueError,
+                       match=f"checkpoint version {CHECKPOINT_VERSION + 1}"):
+        load(path)

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from stopgo import engine
 from stopgo.engine import DemandSchedule, RandomPolicy, Simulation
 from stopgo.netmodel import GridGeometry, generate_grid
 
@@ -46,6 +47,29 @@ def test_every_traced_place_resolves():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == []
+
+
+@pytest.mark.parametrize("name", ["phase_at", "idm_acceleration",
+                                  "advance_vehicle"])
+def test_engine_calls_hot_functions_through_module_globals(monkeypatch, name):
+    """The tracer counts calls by replacing `stopgo.engine.<name>`. A
+    reference bound at import or in `Simulation.__init__` would bypass the
+    replacement and read as zero calls."""
+    calls = []
+    original = getattr(engine, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    net = generate_grid(4, 10, GridGeometry(rows=2, cols=7))
+    schedule = DemandSchedule(total_vehicles=120, horizon=1000.0,
+                              rv_penetration=0.6)
+    sim = Simulation(net, schedule, RandomPolicy(), 1)
+    monkeypatch.setattr(engine, name, counting)
+    for _ in range(300):
+        sim.step()
+    assert sim.vehicles and calls
 
 
 def _load_checks():
