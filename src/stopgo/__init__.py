@@ -10,7 +10,7 @@ rates across network configurations, demand levels, and turning layouts.
 from .agent import GO, STOP, RewardWeights, build_observation, compute_reward
 from .engine import (AlwaysGoPolicy, DemandSchedule, EngineConfig,
                      RandomPolicy, Simulation, run_rollout, write_events_csv)
-from .idm import DEFAULT_IDM, IdmParams, VehicleState, idm_acceleration
+from .idm import VehicleState, idm_acceleration
 from .metrics import (ExperimentSpec, ResultRow, aggregate, collision_rate,
                       run_sweep, summarize)
 from .netmodel import (GridGeometry, Network, NetworkError, ParseError,
@@ -26,7 +26,7 @@ __all__ = [
     "GO", "STOP", "RewardWeights", "build_observation", "compute_reward",
     "AlwaysGoPolicy", "DemandSchedule", "EngineConfig", "RandomPolicy",
     "Simulation", "run_rollout", "write_events_csv",
-    "DEFAULT_IDM", "IdmParams", "VehicleState", "idm_acceleration",
+    "VehicleState", "idm_acceleration",
     "ExperimentSpec", "ResultRow", "aggregate", "collision_rate",
     "run_sweep", "summarize",
     "GridGeometry", "Network", "NetworkError", "ParseError",

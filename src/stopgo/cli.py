@@ -96,7 +96,7 @@ _ALIASES = {"total_vehicles": "demand", "episode_duration": "duration",
 _CONFIGS = {
     "train": ((LearnerConfig, ScenarioConfig, EngineConfig, RewardWeights),
               ("seed",)),
-    "simulate": ((DemandSchedule, EngineConfig, RewardWeights),
+    "simulate": ((DemandSchedule, EngineConfig),
                  ("duration", "policy", "seed")),
     "sweep": ((metrics.ExperimentSpec, EngineConfig), ("policy",)),
 }
@@ -216,7 +216,6 @@ def _cmd_simulate(args) -> int:
     seed = as_int(values, "seed", 0)
     events, summary = run_rollout(
         net, schedule, policy, seed, duration, _build(EngineConfig, values),
-        weights=_build(RewardWeights, values),
         log_decisions=not args.no_decision_log)
     if args.events:
         write_events_csv(events, args.events)

@@ -25,14 +25,14 @@ from __future__ import annotations
 import math
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .agent import (GO, ACTION_NAMES, CONTROL_ZONE, DECISION_PERIOD,
                     RewardWeights, build_observation, compute_reward)
-from .idm import (B_EMERGENCY, DEFAULT_IDM, HV, RV, STOP_SPEED, IdmParams,
+from .idm import (B_EMERGENCY, DESIRED_SPEED, HV, MIN_GAP, RV, STOP_SPEED,
                   VehicleState, advance_vehicle, idm_acceleration)
 from .netmodel import Network, Movement, SIGNALIZED, UNSIGNALIZED
 from .signals import in_clearance, permitted_movements, phase_at
@@ -146,7 +146,7 @@ class _Lane(NamedTuple):
     """What the engine reads of one lane; an exit lane has no intersection,
     control or stop line."""
     length: float
-    params: IdmParams           # desired speed capped at the speed limit
+    desired_speed: float        # the IDM desired speed, capped at the limit
     intersection: str | None    # downstream intersection id
     control: str | None
     stop_line: float | None
@@ -233,9 +233,6 @@ class Simulation:
             for mid, conflicts in net.conflict_sets.items()}
         self._lanes: dict[str, _Lane] = {}
         for lane in net.lanes:
-            params = DEFAULT_IDM
-            if params.desired_speed > lane.speed_limit:
-                params = replace(params, desired_speed=lane.speed_limit)
             iid = lane.downstream_intersection
             control = stop_line = None
             if iid is not None:
@@ -245,8 +242,9 @@ class Simulation:
                     raise ValueError(
                         f"zone_length = {config.zone_length:g} must be shorter "
                         "than every approach lane")
-            self._lanes[lane.id] = _Lane(lane.length, params, iid, control,
-                                         stop_line)
+            self._lanes[lane.id] = _Lane(
+                lane.length, min(DESIRED_SPEED, lane.speed_limit), iid,
+                control, stop_line)
 
     # -- setup ---------------------------------------------------------------
 
@@ -308,15 +306,14 @@ class Simulation:
         cfg = self.config
         for origin in sorted(self._spawn_queues):
             queue = self._spawn_queues[origin]
-            params = self._lanes[origin].params
             while queue:
                 tail = self.lane_vehicles[origin]
                 tail = tail[-1] if tail else None
                 if tail is not None and tail.position - tail.length \
-                        < params.min_gap + cfg.vehicle_length:
+                        < MIN_GAP + cfg.vehicle_length:
                     break
                 k, route_id, kind = queue.popleft()
-                speed = params.desired_speed
+                speed = self._lanes[origin].desired_speed
                 if tail is not None:
                     speed = min(speed, tail.speed)
                 v = VehicleState(
@@ -448,7 +445,7 @@ class Simulation:
         for lane_id, vehicles in lane_vehicles.items():
             if not vehicles:
                 continue
-            length, params, iid, control, stop_line = self._lanes[lane_id]
+            length, v0, iid, control, stop_line = self._lanes[lane_id]
             lead = None     # the previous vehicle on the lane, collided or not
             for v in vehicles:
                 if v.collided_at is not None:
@@ -467,7 +464,7 @@ class Simulation:
                 else:
                     gap, dv = math.inf, 0.0
                 lead = v
-                a = idm(v.speed, dv, gap if gap > 1e-3 else 1e-3, params)
+                a = idm(v.speed, dv, gap if gap > 1e-3 else 1e-3, v0)
 
                 # Stop-line constraints apply only before the line.
                 if stop_line is not None and v.position <= stop_line:
@@ -493,7 +490,7 @@ class Simulation:
                                 hold = True
                     if hold:
                         a_line = idm(v.speed, v.speed,
-                                     d_stop if d_stop > 1e-3 else 1e-3, params)
+                                     d_stop if d_stop > 1e-3 else 1e-3, v0)
                         if a_line < a:
                             a = a_line
                 accel[v.id] = a
@@ -651,20 +648,17 @@ class Simulation:
         return RolloutSummary(
             spawned=self.spawned, departed=self.departed,
             collided=len({vid for pair in self.contacts for vid in pair}),
-            collision_events=sum(1 for e in self.events
-                                 if e.event_type == "Collision"),
+            collision_events=len(self.contacts),
             rv_spawned=self.rv_spawned, duration=self.clock)
 
 
 def run_rollout(net: Network, schedule: DemandSchedule, policy, seed: int,
                 duration: float, config: EngineConfig = EngineConfig(),
-                weights: RewardWeights = RewardWeights(),
-                transition_sink=None, log_decisions: bool = True):
+                log_decisions: bool = True):
     """Run one complete rollout; returns (events, summary)."""
     if duration < 0:
         raise ValueError("duration must be >= 0")
     sim = Simulation(net, schedule, policy, seed, config,
-                     weights=weights, transition_sink=transition_sink,
                      log_decisions=log_decisions)
     steps = round(duration / config.dt)
     for _ in range(steps):

@@ -23,53 +23,41 @@ B_EMERGENCY = 6.0
 
 STOP_SPEED = 0.1  # below this a vehicle counts as stopped/queued
 
-
-@dataclass(frozen=True)
-class IdmParams:
-    desired_speed: float = 13.9   # v0, urban 50 km/h
-    time_headway: float = 1.5     # T
-    min_gap: float = 2.0          # s0
-    max_accel: float = 1.0        # a
-    comfort_decel: float = 1.5    # b
-    accel_exponent: float = 4.0   # delta
-
-    def __post_init__(self):
-        for name in ("desired_speed", "time_headway", "min_gap",
-                     "max_accel", "comfort_decel"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"IdmParams.{name} must be > 0")
-        if self.accel_exponent < 1:
-            raise ValueError("IdmParams.accel_exponent must be >= 1")
-
-
-DEFAULT_IDM = IdmParams()
+# IDM parameters, shared by every vehicle. The acceleration exponent delta
+# is the literal 4 in idm_acceleration, and the engine caps the desired
+# speed at each lane's speed limit.
+DESIRED_SPEED = 13.9   # v0, urban 50 km/h
+TIME_HEADWAY = 1.5     # T
+MIN_GAP = 2.0          # s0
+MAX_ACCEL = 1.0        # a
+COMFORT_DECEL = 1.5    # b
+_TWO_SQRT_AB = 2.0 * math.sqrt(MAX_ACCEL * COMFORT_DECEL)
 
 
 def idm_acceleration(speed: float, approach_rate: float, gap: float,
-                     params: IdmParams = DEFAULT_IDM) -> float:
-    """IDM acceleration a*[1 - (v/v0)^delta - (s*/s)^2].
+                     desired_speed: float = DESIRED_SPEED) -> float:
+    """IDM acceleration a*[1 - (v/v0)^4 - (s*/s)^2].
 
     speed: current speed (>= 0). approach_rate: own speed minus leader
     speed. gap: bumper-to-bumper distance (> 0; math.inf when no leader).
-    Result is clamped to [-B_EMERGENCY, max_accel]. With gap = inf the
+    Result is clamped to [-B_EMERGENCY, MAX_ACCEL]. With gap = inf the
     interaction term is exactly 0, so free-flow equilibrium at v0 returns
-    exactly 0 and a standing start returns exactly max_accel.
+    exactly 0 and a standing start returns exactly MAX_ACCEL.
     """
-    p = params
-    free = (speed / p.desired_speed) ** p.accel_exponent
+    free = (speed / desired_speed) ** 4.0
     if gap == math.inf:
         interaction = 0.0
     elif gap <= 0.0:
         raise ValueError(f"gap must be > 0, got {gap!r}")
     else:
-        s_star = p.min_gap + speed * p.time_headway \
-            + speed * approach_rate / (2.0 * math.sqrt(p.max_accel * p.comfort_decel))
-        if s_star < p.min_gap:
-            s_star = p.min_gap
+        s_star = MIN_GAP + speed * TIME_HEADWAY \
+            + speed * approach_rate / _TWO_SQRT_AB
+        if s_star < MIN_GAP:
+            s_star = MIN_GAP
         interaction = (s_star / gap) ** 2
-    accel = p.max_accel * (1.0 - free - interaction)
-    if accel > p.max_accel:
-        return p.max_accel
+    accel = MAX_ACCEL * (1.0 - free - interaction)
+    if accel > MAX_ACCEL:
+        return MAX_ACCEL
     if accel < -B_EMERGENCY:
         return -B_EMERGENCY
     return accel

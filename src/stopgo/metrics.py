@@ -13,7 +13,8 @@ import re
 from dataclasses import dataclass
 
 from .engine import DemandSchedule, EngineConfig, run_rollout
-from .netmodel import (GridGeometry, Network, generate_grid, remove_left_turns)
+from .netmodel import (GridGeometry, Network, NetworkError, generate_grid,
+                       remove_left_turns)
 
 RESULT_COLUMNS = ("config", "rv_rate", "demand", "left_turns_removed",
                   "seed", "n_departed", "n_collided", "collision_rate")
@@ -106,6 +107,12 @@ class ExperimentSpec:
     def __post_init__(self):
         if not (self.configs and self.rv_rates and self.demands):
             raise MetricError("configs, rv_rates, and demands must be non-empty")
+        for rate in self.rv_rates:
+            if not 0.0 <= rate <= 1.0:
+                raise MetricError(f"rv_rates: {rate:g} is not in [0, 1]")
+        for demand in self.demands:
+            if demand <= 0:
+                raise MetricError(f"demands: {demand} is not > 0")
         if self.rollouts < 1:
             raise MetricError("rollouts must be >= 1")
         if self.duration <= 0:
@@ -123,7 +130,10 @@ class ExperimentSpec:
 
 def build_network(spec: ExperimentSpec, label: str) -> Network:
     u, s = parse_config_label(label)
-    net = generate_grid(u, s, GridGeometry(rows=spec.rows, cols=spec.cols))
+    try:
+        net = generate_grid(u, s, GridGeometry(rows=spec.rows, cols=spec.cols))
+    except NetworkError as error:
+        raise NetworkError(f"{label}: {error}") from None
     if spec.remove_lefts:
         net = remove_left_turns(net)
     return net
@@ -140,11 +150,11 @@ def run_sweep(spec: ExperimentSpec, policy,
     sensible layout on a single-core box (rollouts share no state, so a
     pool over cells is a drop-in change where more cores exist).
     """
+    # Every network is built before the first rollout, so a label that does
+    # not fit the grid fails before any work is done.
+    networks = {label: build_network(spec, label) for label in spec.configs}
     results: list[ResultRow] = []
-    networks: dict[str, Network] = {}
     for cell_index, label, rate, demand in spec.cells():
-        if label not in networks:
-            networks[label] = build_network(spec, label)
         net = networks[label]
         for k in range(spec.rollouts):
             seed = spec.base_seed + cell_index * spec.rollouts + k

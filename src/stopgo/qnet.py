@@ -166,13 +166,14 @@ def sgd_step(params, grads, lr: float, clip_norm: float = 10.0,
              momentum: float = 0.0,
              velocity: dict[str, np.ndarray] | None = None) -> float:
     """In-place SGD with global gradient-norm clipping; returns the
-    pre-clip norm. With momentum > 0 a velocity dict must be supplied."""
+    pre-clip norm. With momentum > 0 a velocity dict must be supplied; a
+    key it lacks starts at zero velocity."""
     norm = global_grad_norm(grads)
     scale = clip_norm / norm if (clip_norm > 0 and norm > clip_norm) else 1.0
     for key, g in grads.items():
         step = g * scale
         if momentum > 0.0:
-            velocity[key] = momentum * velocity[key] + step
+            velocity[key] = momentum * velocity.get(key, 0.0) + step
             step = velocity[key]
         params[key] -= lr * step
     return norm

@@ -123,7 +123,8 @@ class Learner:
                        hidden=tuple(config.hidden))
         self.params = qnet.init_params(spec, self.rng)
         self.target_params = {k: v.copy() for k, v in self.params.items()}
-        self.velocity = {k: np.zeros_like(v) for k, v in self.params.items()}
+        # Momentum buffers, created by the first momentum step.
+        self.velocity: dict[str, np.ndarray] = {}
         self.buffer = ReplayBuffer(config.buffer_capacity, config.alpha_per,
                                    config.priority_floor)
         self.obs_scale = default_obs_scale(obs_dim)

@@ -9,12 +9,11 @@ from .netmodel import SignalPlan
 
 @dataclass(frozen=True)
 class PhaseState:
-    intersection_id: str
     phase_index: int
     time_into_phase: float
 
 
-def phase_at(plan: SignalPlan, t: float, intersection_id: str = "") -> PhaseState:
+def phase_at(plan: SignalPlan, t: float) -> PhaseState:
     """Locate the phase containing time t mod cycle_length.
 
     Phase boundaries belong to the later phase, so t = cycle_length wraps
@@ -26,10 +25,10 @@ def phase_at(plan: SignalPlan, t: float, intersection_id: str = "") -> PhaseStat
     offset = t % cycle
     for index, phase in enumerate(plan.phases):
         if offset < phase.duration:
-            return PhaseState(intersection_id, index, offset)
+            return PhaseState(index, offset)
         offset -= phase.duration
     # Float roundoff at the very end of the cycle lands here.
-    return PhaseState(intersection_id, 0, 0.0)
+    return PhaseState(0, 0.0)
 
 
 def permitted_movements(plan: SignalPlan, state: PhaseState,

@@ -23,7 +23,8 @@ from stopgo.engine import (
 )
 from stopgo.idm import (
     B_EMERGENCY,
-    DEFAULT_IDM,
+    DESIRED_SPEED,
+    MIN_GAP,
     NO_LEADER_GAP,
     VehicleState,
     advance_vehicle,
@@ -185,8 +186,8 @@ def test_05_idm_platoons_never_interpenetrate():
     worst_gap = math.inf
     for platoon in range(100):
         count = 20
-        speeds = rng.uniform(0.0, DEFAULT_IDM.desired_speed, size=count)
-        gaps = rng.uniform(DEFAULT_IDM.min_gap, 30.0, size=count - 1)
+        speeds = rng.uniform(0.0, DESIRED_SPEED, size=count)
+        gaps = rng.uniform(MIN_GAP, 30.0, size=count - 1)
         vehicles = []
         position = 0.0
         for i in range(count):
@@ -199,7 +200,7 @@ def test_05_idm_platoons_never_interpenetrate():
                 deficit = max(0.0, (speeds[i + 1] ** 2 - speeds[i] ** 2)
                               / (2 * B_EMERGENCY))
                 gap = max(float(gaps[i]),
-                          DEFAULT_IDM.min_gap + deficit + speeds[i + 1] * 0.1)
+                          MIN_GAP + deficit + speeds[i + 1] * 0.1)
                 position -= length + gap
         for _ in range(10_000):
             accels = [idm_acceleration(vehicles[0].speed, 0.0, NO_LEADER_GAP)]

@@ -141,6 +141,36 @@ def test_sweep_rejects_zero_duration(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lines,name", [
+    ("configs = 1U+0S\nrv_rates = 0.25, 1.5\ndemands = 5\n", "rv_rates"),
+    ("configs = 1U+0S\nrv_rates = 0.5\ndemands = 5, 0\n", "demands"),
+    ("configs = 1U+0S, 2U+0S\nrv_rates = 0.5\ndemands = 5\n", "2U+0S"),
+], ids=["rv_rates", "demands", "label"])
+def test_sweep_rejects_bad_spec_before_any_rollout(tmp_path, capsys, lines,
+                                                   name):
+    spec = tmp_path / "sweep.cfg"
+    spec.write_text(lines + "rollouts = 1\nrows = 1\ncols = 1\n"
+                    "duration = 30\n")
+    out = tmp_path / "r.csv"
+    assert run(["sweep", "--spec", str(spec), "--policy", "random",
+                "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert name in captured.err
+    assert "cell" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["alpha", "beta_penalty"])
+def test_simulate_rejects_reward_keys(tmp_path, capsys, key):
+    # A rollout's outputs do not depend on the reward weights.
+    net = _netgen(tmp_path)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(f"{key} = 2\n")
+    assert run(["simulate", "--network", str(net), "--demand", "10",
+                "--duration", "50", "--config", str(cfg)]) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags,key", [
     (["--demand", "0"], "demand"),
     (["--demand", "10", "--rv-rate", "1.5"], "rv_rate"),

@@ -198,3 +198,21 @@ def test_sgd_momentum_accumulates_velocity():
     # v1 = 1, v2 = 1.9; parameter moves by -(1 + 1.9)
     assert params["w"] == pytest.approx(np.array([-2.9]))
     assert velocity["w"] == pytest.approx(np.array([1.9]))
+
+
+def test_sgd_momentum_from_empty_velocity_matches_zero_start_bit_for_bit():
+    rng = np.random.default_rng(7)
+    start = {"W": rng.normal(size=(3, 4)), "b": rng.normal(size=4)}
+    params = {k: v.copy() for k, v in start.items()}
+    zero_params = {k: v.copy() for k, v in start.items()}
+    velocity = {}
+    zero_velocity = {k: np.zeros_like(v) for k, v in start.items()}
+    for _ in range(3):
+        grads = {k: rng.normal(size=v.shape) * 5.0 for k, v in start.items()}
+        grads["b"][0] = -0.0
+        for p, vel in ((params, velocity), (zero_params, zero_velocity)):
+            sgd_step(p, grads, lr=0.1, clip_norm=10.0, momentum=0.9,
+                     velocity=vel)
+    for key in start:
+        assert params[key].tobytes() == zero_params[key].tobytes()
+        assert velocity[key].tobytes() == zero_velocity[key].tobytes()

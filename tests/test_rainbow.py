@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -233,6 +234,40 @@ def test_save_load_round_trip(tmp_path):
     original_actions = [learner.act(obs, epsilon=eps) for _ in range(20)]
     clone_actions = [clone.act(obs, epsilon=eps) for _ in range(20)]
     assert original_actions == clone_actions  # identical restored rng stream
+
+
+def test_momentum_free_learner_holds_no_velocity(tmp_path):
+    learner = _filled_learner()
+    for _ in range(3):
+        learner.train_step()
+    assert TINY.momentum == 0.0 and learner.velocity == {}
+    path = tmp_path / "ck.npz"
+    learner.save(path)
+    with np.load(path) as data:
+        assert not any(k.startswith("velocity/") for k in data.files)
+    assert Learner.load(path).velocity == {}
+
+
+def test_momentum_velocity_round_trips_and_zero_arrays_still_load(tmp_path):
+    learner = Learner(obs_dim=6, config=replace(TINY, momentum=0.9), seed=0)
+    rng = np.random.default_rng(99)
+    for _ in range(40):
+        learner.store(rng.uniform(0, 5, size=6), int(rng.integers(2)),
+                      float(rng.normal()), rng.uniform(0, 5, size=6), False)
+    learner.train_step()
+    path = tmp_path / "ck.npz"
+    learner.save(path)
+    clone = Learner.load(path)
+    assert clone.velocity.keys() == learner.params.keys()
+    for key, value in learner.velocity.items():
+        assert np.array_equal(clone.velocity[key], value)
+    # A checkpoint written with a zero velocity for every parameter loads it.
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays.update({f"velocity/{k}": np.zeros_like(v)
+                   for k, v in learner.params.items()})
+    np.savez_compressed(path, **arrays)
+    assert all(not v.any() for v in Learner.load(path).velocity.values())
 
 
 def test_snapshot_and_load_policy_decide_greedily(tmp_path):

@@ -32,10 +32,6 @@ def test_phase_at_wraps_around_cycle():
     assert later.time_into_phase == pytest.approx(2.0)
 
 
-def test_phase_at_keeps_intersection_id():
-    assert phase_at(_plan(), 5.0, "J3").intersection_id == "J3"
-
-
 def test_signalized_permission_follows_phase_table(net_1s):
     plan = net_1s.intersections[0].plan
     for t in (0.0, 14.9, 15.0, 31.0, 59.9, 60.0, 61.5):
