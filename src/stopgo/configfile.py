@@ -7,6 +7,8 @@ Command-line flags override file values; merge_options encodes that rule.
 
 from __future__ import annotations
 
+import math
+
 
 class ConfigError(Exception):
     pass
@@ -49,9 +51,12 @@ def as_float(values: dict, key: str, default: float) -> float:
     if key not in values:
         return default
     try:
-        return float(values[key])
+        value = float(values[key])
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {values[key]!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {values[key]!r}")
+    return value
 
 
 def as_int(values: dict, key: str, default: int) -> int:

@@ -5,12 +5,14 @@ One rollout is a pure function of (network, demand, policy, seed): a fixed
 positions, conflict-zone occupancy, collision detection, and departures in
 a fixed order, so identical inputs give byte-identical event logs.
 
-A step costs about what its traffic costs. Signalized intersections that
-share a timing share one phase lookup, and their permitted sets are reused
-until a timing changes phase or enters its clearance tail. Threat lanes are
-tabled per movement at construction. Empty lanes and single-vehicle lanes
-are skipped, and wrecks are kept in collision order, so dwell expiry reads
-only the wrecks.
+A step costs about what its traffic costs. The engine keeps the sorted
+ids of the occupied lanes and walks only those. Signalized intersections
+that share a timing share one phase lookup, made only from one step before
+the next phase end or clearance start until that boundary has passed; the
+permitted sets are kept in between. Threat lanes are tabled per movement at
+construction. Wrecks are kept in collision order, so dwell expiry reads
+only the wrecks. Without a transition sink no decision is kept open and no
+reward is computed.
 
 Geometry convention: a vehicle's `position` is its front bumper's distance
 from the lane start. The last `zone_length` meters of every lane feeding an
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +45,16 @@ CROSSING = "Crossing"
 EVENT_COLUMNS = ("time", "event_type", "vehicle_ids", "location", "extra")
 
 
+def require_finite(config, error=ValueError) -> None:
+    """Raise error naming the first float field of the dataclass config,
+    or float in one of its tuple fields, that is NaN or infinite."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        for x in value if isinstance(value, tuple) else (value,):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise error(f"{f.name} must be finite, got {x!r}")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     dt: float = 0.1
@@ -56,6 +68,7 @@ class EngineConfig:
     decision_period: float = DECISION_PERIOD
 
     def __post_init__(self):
+        require_finite(self)
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
         if self.zone_length <= 0:
@@ -86,6 +99,7 @@ class DemandSchedule:
     axis_bias: float = 2.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.total_vehicles <= 0:
             raise ValueError("total_vehicles must be > 0")
         if self.horizon < 0:
@@ -167,6 +181,8 @@ class Simulation:
     transition_sink, when set, receives (obs, action, reward, next_obs,
     terminal) for every completed RV decision; terminal marks the end of
     one control-zone passage (zone cleared, collision, or horizon flush).
+    Without a sink no decision is kept in `pending` and no reward is
+    computed.
     """
 
     def __init__(self, net: Network, schedule: DemandSchedule, policy,
@@ -187,6 +203,9 @@ class Simulation:
         # Each lane's vehicles, front first: ordered by (-position, id).
         self.lane_vehicles: dict[str, list[VehicleState]] = {
             lane_id: [] for lane_id in sorted(net.lane_by_id)}
+        # The ids of the non-empty lanes, sorted: HV gap-acceptance claims
+        # and collision events follow lane id order.
+        self.occupied_lanes: list[str] = []
         self.zone_occupancy: dict[str, dict[str, str]] = {
             i.id: {} for i in net.intersections}
         self._zones = [(i.conflict_zone_id, self.zone_occupancy[i.id])
@@ -225,7 +244,7 @@ class Simulation:
                 groups.setdefault(durations, []).append(inter)
         self._signal_groups = [(members[0].plan, members)
                                for members in groups.values()]
-        self._signal_key = None
+        self._signal_check = 0      # the next step that looks phases up
         # Movement id -> the approach lanes of its conflicting movements.
         self._threat_lanes = {
             mid: tuple(sorted({net.movement_by_id[c].from_lane
@@ -303,6 +322,8 @@ class Simulation:
             self._spawn_queues.setdefault(origin, deque()).append((k, route_id, kind))
             self._next_arrival += 1
 
+        if not self._spawn_queues:
+            return
         cfg = self.config
         for origin in sorted(self._spawn_queues):
             queue = self._spawn_queues[origin]
@@ -322,6 +343,8 @@ class Simulation:
                     route_id=route_id, route_index=0,
                     length=cfg.vehicle_length)
                 self.vehicles[v.id] = v
+                if tail is None:
+                    insort(self.occupied_lanes, origin)
                 self.lane_vehicles[origin].append(v)
                 self.next_move[v.id] = self._movement_after(v)
                 self.spawned += 1
@@ -336,20 +359,28 @@ class Simulation:
 
     def _update_signals(self):
         """Set `permitted` for the current step. A group's permitted sets
-        change only with its phase or on entering the clearance tail, so
-        they are rebuilt only when some group's (phase, in tail) changes."""
-        t = self.clock
-        all_red = self.config.all_red
-        states = [phase_at(plan, t) for plan, _ in self._signal_groups]
-        key = [(state.phase_index, in_clearance(plan, state, all_red))
-               for (plan, _), state in zip(self._signal_groups, states)]
-        if key == self._signal_key:
+        change only at its phase end or clearance start, so the phases are
+        looked up from one step before the earliest such boundary (a step
+        of margin for the rounding of t % cycle) and then every step until
+        it has passed."""
+        n = self.step_count
+        if n < self._signal_check:
             return
-        self._signal_key = key
-        self.permitted = {
-            inter.id: permitted_movements(inter.plan, state, all_red)
-            for (_, members), state in zip(self._signal_groups, states)
-            for inter in members}
+        t = self.clock
+        dt, all_red = self.config.dt, self.config.all_red
+        check = math.inf
+        self.permitted = {}
+        for plan, members in self._signal_groups:
+            state = phase_at(plan, t)
+            boundary = plan.phases[state.phase_index].duration
+            if not in_clearance(plan, state, all_red):
+                boundary -= all_red
+            check = min(check, n - 1 + int(
+                (boundary - state.time_into_phase) / dt))
+            for inter in members:
+                self.permitted[inter.id] = permitted_movements(
+                    inter.plan, state, all_red)
+        self._signal_check = max(n + 1, check)
 
     # -- decisions -----------------------------------------------------------
 
@@ -359,9 +390,8 @@ class Simulation:
             return
         reward = compute_reward(pend.delay, pend.action, pend.collided,
                                 self.weights)
-        if self.transition_sink is not None:
-            nxt = pend.obs * 0.0 if next_obs is None else next_obs
-            self.transition_sink(pend.obs, pend.action, reward, nxt, terminal)
+        nxt = pend.obs * 0.0 if next_obs is None else next_obs
+        self.transition_sink(pend.obs, pend.action, reward, nxt, terminal)
 
     def _decision_step(self):
         t = self.clock
@@ -371,8 +401,9 @@ class Simulation:
             self._close_pending(rv_id, obs, terminal=False)
             action = self.policy.decide(obs, self.rng)
             v.current_action = action
-            self.pending[rv_id] = _Pending(obs=obs, action=action,
-                                           delay=float(obs[1]))
+            if self.transition_sink is not None:
+                self.pending[rv_id] = _Pending(obs=obs, action=action,
+                                               delay=float(obs[1]))
             if self.log_decisions:
                 self.events.append(Event(
                     t, "Decision", (rv_id,), v.lane,
@@ -442,9 +473,8 @@ class Simulation:
         # Read the IDM law at call time, so that a wrapper set on the
         # module global sees every call.
         idm = idm_acceleration
-        for lane_id, vehicles in lane_vehicles.items():
-            if not vehicles:
-                continue
+        for lane_id in self.occupied_lanes:
+            vehicles = lane_vehicles[lane_id]
             length, v0, iid, control, stop_line = self._lanes[lane_id]
             lead = None     # the previous vehicle on the lane, collided or not
             for v in vehicles:
@@ -516,16 +546,24 @@ class Simulation:
                 else:
                     handed_off.append(v)
         for v in handed_off:
-            self.lane_vehicles[v.lane].remove(v)
+            self._leave_lane(v)
             v.position -= self._lanes[v.lane].length
             v.lane = self.next_move[v.id].to_lane
             v.route_index += 1
             v.waiting_time = 0.0
             v.current_action = None
             self.next_move[v.id] = self._movement_after(v)
-            insort(self.lane_vehicles[v.lane], v,
-                   key=lambda u: (-u.position, u.id))
+            vehicles = self.lane_vehicles[v.lane]
+            if not vehicles:
+                insort(self.occupied_lanes, v.lane)
+            insort(vehicles, v, key=lambda u: (-u.position, u.id))
         return arrived
+
+    def _leave_lane(self, v: VehicleState):
+        vehicles = self.lane_vehicles[v.lane]
+        vehicles.remove(v)
+        if not vehicles:
+            self.occupied_lanes.remove(v.lane)
 
     def _update_occupancy(self):
         """Enter and clear conflict zones; returns the ids whose passage
@@ -571,7 +609,9 @@ class Simulation:
 
     def _detect_collisions(self):
         t = self.clock
-        for lane_id, vehicles in self.lane_vehicles.items():
+        lane_vehicles = self.lane_vehicles
+        for lane_id in self.occupied_lanes:
+            vehicles = lane_vehicles[lane_id]
             if len(vehicles) < 2:
                 continue
             lead = vehicles[0]
@@ -598,7 +638,7 @@ class Simulation:
         if zone is not None:
             self.zone_occupancy[zone[0]].pop(vid, None)
         self.next_move.pop(vid, None)
-        self.lane_vehicles[v.lane].remove(v)
+        self._leave_lane(v)
         return v
 
     def _departures(self, arrived):
@@ -656,6 +696,8 @@ def run_rollout(net: Network, schedule: DemandSchedule, policy, seed: int,
                 duration: float, config: EngineConfig = EngineConfig(),
                 log_decisions: bool = True):
     """Run one complete rollout; returns (events, summary)."""
+    if not math.isfinite(duration):
+        raise ValueError(f"duration must be finite, got {duration!r}")
     if duration < 0:
         raise ValueError("duration must be >= 0")
     sim = Simulation(net, schedule, policy, seed, config,

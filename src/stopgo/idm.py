@@ -63,7 +63,7 @@ def idm_acceleration(speed: float, approach_rate: float, gap: float,
     return accel
 
 
-@dataclass
+@dataclass(slots=True)
 class VehicleState:
     """One vehicle's kinematic and routing state.
 

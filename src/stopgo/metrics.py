@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .engine import DemandSchedule, EngineConfig, run_rollout
+from .engine import DemandSchedule, EngineConfig, require_finite, run_rollout
 from .netmodel import (GridGeometry, Network, NetworkError, generate_grid,
                        remove_left_turns)
 
@@ -105,6 +105,7 @@ class ExperimentSpec:
     axis_bias: float = 2.0
 
     def __post_init__(self):
+        require_finite(self, MetricError)
         if not (self.configs and self.rv_rates and self.demands):
             raise MetricError("configs, rv_rates, and demands must be non-empty")
         for rate in self.rv_rates:
@@ -145,10 +146,12 @@ def run_sweep(spec: ExperimentSpec, policy,
     """Execute every rollout of the sweep in canonical order.
 
     Rollout seeds are base_seed + cell_index * rollouts + k, recorded in
-    each row, so any row can be reproduced in isolation. Rollouts are
-    independent; this runner executes them sequentially, which is the
-    sensible layout on a single-core box (rollouts share no state, so a
-    pool over cells is a drop-in change where more cores exist).
+    each row, so any row can be reproduced in isolation. Rollouts share no
+    state, and this runner executes them one after another. A process pool
+    over cells is not a drop-in change: perfbench counts vehicle steps by
+    wrapping `Simulation.step` in its own process, so rollouts run in child
+    processes would count no steps and skip its rollout checks. A pool
+    needs a declared change to the benchmark first.
     """
     # Every network is built before the first rollout, so a label that does
     # not fit the grid fails before any work is done.

@@ -6,12 +6,14 @@ carry a turn direction; pairs of movements whose paths cross or merge inside
 the intersection box are recorded in a symmetric conflict relation. Routes
 are lane chains from a boundary entry to a boundary exit.
 
-Networks are treated as immutable after construction and may be shared
-freely across concurrent rollouts.
+Networks are treated as immutable after construction, so any number of
+rollouts may share one. Running those rollouts in worker processes is not
+a drop-in change, though: see `metrics.run_sweep`.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -158,10 +160,12 @@ def validate_network(net: Network) -> None:
             seen.add(item.id)
 
     for l in net.lanes:
-        if l.length <= 0:
-            raise NetworkError(f"lane {l.id!r} has non-positive length {l.length}")
-        if l.speed_limit <= 0:
-            raise NetworkError(f"lane {l.id!r} has non-positive speed limit {l.speed_limit}")
+        if not 0 < l.length < math.inf:
+            raise NetworkError(f"lane {l.id!r} has length {l.length}, "
+                               "not a positive finite number")
+        if not 0 < l.speed_limit < math.inf:
+            raise NetworkError(f"lane {l.id!r} has speed limit {l.speed_limit}, "
+                               "not a positive finite number")
         if l.downstream_intersection is not None and \
                 l.downstream_intersection not in net.intersection_by_id:
             raise NetworkError(
@@ -196,9 +200,10 @@ def validate_network(net: Network) -> None:
                 raise NetworkError(f"signalized intersection {i.id!r} has no signal plan")
             covered = set()
             for pi, phase in enumerate(i.plan.phases):
-                if phase.duration <= 0:
+                if not 0 < phase.duration < math.inf:
                     raise NetworkError(
-                        f"intersection {i.id!r} phase {pi} has non-positive duration")
+                        f"intersection {i.id!r} phase {pi} has duration "
+                        f"{phase.duration}, not a positive finite number")
                 perm = sorted(phase.permitted_movements)
                 for mid in perm:
                     if mid not in net.movement_by_id:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .agent import RewardWeights, observation_length
 from .engine import (AlwaysGoPolicy, DemandSchedule, EngineConfig,
-                     RandomPolicy, Simulation)
+                     RandomPolicy, Simulation, require_finite)
 from .netmodel import Network, UNSIGNALIZED
 from .rainbow import Learner, LearnerConfig, load_policy
 
@@ -33,6 +33,7 @@ class ScenarioConfig:
     axis_bias: float = 2.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.episode_duration <= 0:
             raise ValueError("episode_duration must be > 0")
         self.schedule()   # the schedule checks the rest

@@ -20,23 +20,28 @@ from stopgo.netmodel import (GridGeometry, generate_grid, remove_left_turns,
 from stopgo.rainbow import Learner
 
 # name: (unsignalized, signalized, rows, cols, remove lefts, demand,
-#        horizon, rv rate, seed, duration, all_red, speed limit)
+#        horizon, rv rate, seed, duration, all_red, speed limit, cycle)
 ROLLOUTS = {
     "12U+2S-demand120": (12, 2, 2, 7, False, 120, 1000.0, 0.6, 1, 1000.0, 0.0,
-                         13.9),
+                         13.9, 60.0),
     "4U+10S-no-lefts": (4, 10, 2, 7, True, 120, 1000.0, 0.6, 2, 1000.0, 0.0,
-                        13.9),
+                        13.9, 60.0),
     "0U+14S-demand600": (0, 14, 2, 7, False, 600, 1000.0, 0.6, 3, 200.0, 0.0,
-                         13.9),
-    "1S-all-red-2": (0, 1, 1, 1, False, 120, 300.0, 0.0, 4, 400.0, 2.0, 13.9),
+                         13.9, 60.0),
+    "1S-all-red-2": (0, 1, 1, 1, False, 120, 300.0, 0.0, 4, 400.0, 2.0, 13.9,
+                     60.0),
     # Hundreds of vehicles queue at merges: 53 Crossing collisions and 93
     # dwell removals in 300 s.
     "12U+2S-demand1200": (12, 2, 2, 7, False, 1200, 1000.0, 0.6, 1, 300.0,
-                          0.0, 13.9),
+                          0.0, 13.9, 60.0),
     # Every lane is slower than the IDM desired speed, so vehicles spawn and
     # drive at the speed limit.
     "1U+1S-speed-limit-10": (1, 1, 1, 2, False, 120, 400.0, 0.6, 5, 400.0,
-                             0.0, 10.0),
+                             0.0, 10.0, 60.0),
+    # A 47.3 s cycle makes 11.825 s phases and all_red 1.05 s tails, so no
+    # phase boundary falls on the 0.1 s step grid.
+    "4U+10S-cycle-47.3": (4, 10, 2, 7, False, 300, 1000.0, 0.6, 7, 600.0,
+                          1.05, 13.9, 47.3),
 }
 
 # name: (unsignalized, signalized, rows, cols); each is locked with and
@@ -63,6 +68,8 @@ DIGESTS = {
         "64d9c3ba179bae8ea18c4d86ae472f402b816600d56298288594e6d1ec8614bc",
     "1U+1S-speed-limit-10":
         "df41c56ad523d0c985030e129d270bf6671db6b34c9b75233217b061ceb9569d",
+    "4U+10S-cycle-47.3":
+        "3d3db3bf1e5dc36a2e216f0d738d9cb1414f5f76e3d76bb6698786e5a9c0a567",
     "training_curve.csv":
         "02f925c71520efc031f3a15967d659ec5264030d6c07c4f0dcdaed4b23de3c62",
     "checkpoint-params":
@@ -117,9 +124,10 @@ def _sha256(data: bytes) -> str:
 @pytest.mark.parametrize("name", sorted(ROLLOUTS))
 def test_event_log_digest(name, tmp_path):
     (u, s, rows, cols, no_lefts, demand, horizon, rv_rate, seed, duration,
-     all_red, speed_limit) = ROLLOUTS[name]
+     all_red, speed_limit, cycle) = ROLLOUTS[name]
     net = generate_grid(u, s, GridGeometry(rows=rows, cols=cols,
-                                           speed_limit=speed_limit))
+                                           speed_limit=speed_limit,
+                                           cycle_length=cycle))
     if no_lefts:
         net = remove_left_turns(net)
     schedule = DemandSchedule(total_vehicles=demand, horizon=horizon,

@@ -182,6 +182,63 @@ def test_simulate_error_names_the_key(tmp_path, capsys, flags, key):
     assert f": {key} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value,name", [
+    ("--cycle", "nan", "intersection 'J1' phase 0 has duration nan"),
+    ("--cycle", "inf", "intersection 'J1' phase 0 has duration inf"),
+    ("--block-length", "nan", "lane 'L_J1_J0' has length nan"),
+    ("--stub-length", "inf", "lane 'L_BN0x0_J0' has length inf"),
+    ("--speed-limit", "inf", "lane 'L_BN0x0_J0' has speed limit inf"),
+])
+def test_netgen_rejects_non_finite_geometry(tmp_path, capsys, flag, value,
+                                            name):
+    out = tmp_path / "net.txt"
+    assert run(["netgen", "--unsignalized", "1", "--signalized", "1",
+                "--rows", "1", "--cols", "2", "--out", str(out),
+                f"{flag}={value}"]) == 2
+    assert f"{name}, not a positive finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,config,key", [
+    (["--duration", "inf"], "", "duration"),
+    (["--duration", "nan"], "", "duration"),
+    (["--rv-rate", "nan"], "", "rv_rate"),
+    ([], "horizon = inf", "horizon"),
+    ([], "all_red = nan", "all_red"),
+    ([], "dt = inf", "dt"),
+])
+def test_simulate_rejects_non_finite_numbers(tmp_path, capsys, flags, config,
+                                             key):
+    net = _netgen(tmp_path)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(config + "\n")
+    events, summary = tmp_path / "events.csv", tmp_path / "summary.txt"
+    assert run(["simulate", "--network", str(net), "--demand", "10",
+                "--config", str(cfg), "--events", str(events),
+                "--summary", str(summary), *flags]) == 2
+    assert f": {key} must be finite, got " in capsys.readouterr().err
+    assert not events.exists() and not summary.exists()
+
+
+@pytest.mark.parametrize("line,key", [("duration = inf", "duration"),
+                                      ("rv_rates = 0.5, nan", "rv_rates"),
+                                      ("axis_bias = nan", "axis_bias")])
+def test_sweep_rejects_non_finite_numbers(tmp_path, capsys, line, key):
+    spec = tmp_path / "sweep.cfg"
+    spec.write_text("configs = 1U+0S\nrv_rates = 0.5\ndemands = 5\n"
+                    "rows = 1\ncols = 1\nduration = 30\n")
+    name = line.split(" = ")[0]
+    spec.write_text("\n".join(l for l in spec.read_text().splitlines()
+                              if not l.startswith(name + " ")) + "\n" + line)
+    out = tmp_path / "r.csv"
+    assert run(["sweep", "--spec", str(spec), "--policy", "random",
+                "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f": {key} must be finite, got " in captured.err
+    assert "cell" not in captured.out
+    assert not out.exists()
+
+
 def test_train_writes_checkpoint_then_simulate_uses_it(tmp_path):
     net = _netgen(tmp_path)
     cfg = tmp_path / "train.cfg"
@@ -266,7 +323,13 @@ def test_netgen_rejects_impossible_grid(tmp_path):
 @pytest.mark.parametrize("line,key", [("hidden = 16,abc", "hidden"),
                                       ("learning_rat = 0.1", "learning_rat"),
                                       ("demand = 0", "demand"),
-                                      ("duration = -5", "duration")])
+                                      ("duration = -5", "duration"),
+                                      ("duration = nan",
+                                       "duration must be finite"),
+                                      ("rv_rate = inf",
+                                       "rv_rate must be finite"),
+                                      ("learning_rate = nan",
+                                       "learning_rate must be finite")])
 def test_train_config_error_names_the_key(tmp_path, capsys, line, key):
     net = _netgen(tmp_path)
     cfg = tmp_path / "train.cfg"

@@ -1,7 +1,10 @@
+import hashlib
+import math
 from dataclasses import replace
 
 import pytest
 
+from stopgo import engine
 from stopgo.engine import (
     CROSSING,
     EVENT_COLUMNS,
@@ -15,8 +18,10 @@ from stopgo.engine import (
     run_rollout,
     write_events_csv,
 )
+from stopgo.metrics import ExperimentSpec, MetricError
 from stopgo.netmodel import GridGeometry, generate_grid
 from stopgo.signals import permitted_movements, phase_at
+from stopgo.training import ScenarioConfig
 
 
 class AlwaysStopPolicy:
@@ -99,6 +104,10 @@ def test_no_negative_gaps_among_healthy_vehicles(grid, demand, horizon, seed,
             assert all(v.lane == lane_id for v in vehicles)
             on_lanes.extend(v.id for v in vehicles)
         assert sorted(on_lanes) == sorted(sim.vehicles)
+        # The engine walks only the occupied lanes, in lane id order.
+        assert sim.occupied_lanes == sorted(
+            lane_id for lane_id, vehicles in sim.lane_vehicles.items()
+            if vehicles)
         for vehicles in sim.lane_vehicles.values():
             for lead, follow in zip(vehicles, vehicles[1:]):
                 if lead.collided_at is not None or follow.collided_at is not None:
@@ -219,11 +228,12 @@ def test_red_signal_holds_vehicles_at_the_line(net_1s, all_red):
     assert sim.summary().departed > 0
 
 
-@pytest.mark.parametrize("all_red", [0.0, 3.0])
+@pytest.mark.parametrize("all_red", [0.0, 1.05, 3.0])
 def test_signals_with_several_timings_follow_each_plan(all_red):
     """The engine looks a phase up once per distinct timing and reuses the
     permitted sets while no timing changes phase or enters its clearance
-    tail; with several timings each intersection still follows its own."""
+    tail; with several timings each intersection still follows its own,
+    also where phase ends fall between two steps."""
     net = generate_grid(0, 6, GridGeometry(rows=2, cols=3))
     intersections = []
     for k, inter in enumerate(net.intersections):
@@ -231,9 +241,14 @@ def test_signals_with_several_timings_follow_each_plan(all_red):
             phases = tuple(replace(phase, duration=phase.duration + k + j)
                            for j, phase in enumerate(inter.plan.phases))
             inter = replace(inter, plan=replace(inter.plan, phases=phases))
+        elif k == 2:    # phases that are not multiples of dt
+            phases = tuple(replace(phase, duration=(14.95, 15.05)[j % 2])
+                           for j, phase in enumerate(inter.plan.phases))
+            inter = replace(inter, plan=replace(inter.plan, phases=phases))
         intersections.append(inter)
     net = replace(net, intersections=tuple(intersections))
-    assert len({i.plan.cycle_length for i in net.intersections}) == 4
+    assert len({tuple(p.duration for p in i.plan.phases)
+                for i in net.intersections}) == 5
     schedule = DemandSchedule(total_vehicles=60, horizon=200.0,
                               rv_penetration=0.0)
     sim = Simulation(net, schedule, AlwaysGoPolicy(), seed=2,
@@ -245,6 +260,44 @@ def test_signals_with_several_timings_follow_each_plan(all_red):
         assert sim.permitted == {
             i.id: permitted_movements(i.plan, phase_at(i.plan, t), all_red)
             for i in net.intersections}
+
+
+def test_rollouts_without_a_learner_compute_no_rewards(net_2u, monkeypatch):
+    calls = []
+    reward = engine.compute_reward
+    monkeypatch.setattr(engine, "compute_reward",
+                        lambda *args: calls.append(args) or reward(*args))
+    schedule = DemandSchedule(total_vehicles=60, horizon=120.0,
+                              rv_penetration=0.8)
+    events, _ = run_rollout(net_2u, schedule, RandomPolicy(), seed=1,
+                            duration=150.0)
+    assert any(e.event_type == "Decision" for e in events)
+    assert calls == []
+    sim = Simulation(net_2u, schedule, RandomPolicy(), seed=1)
+    for _ in range(1500):
+        sim.step()
+    assert sim.pending == {} and calls == []
+
+
+def test_transition_stream_is_unchanged(net_2u):
+    """A sink-driven run with collisions: 659 transitions, 60 of them
+    terminal (three from the horizon flush), in a fixed order."""
+    rows = []
+    sim = Simulation(net_2u, DemandSchedule(total_vehicles=60, horizon=120.0,
+                                            rv_penetration=0.8),
+                     RandomPolicy(), seed=1, log_decisions=False,
+                     transition_sink=lambda *row: rows.append(row))
+    for _ in range(1500):
+        sim.step()
+    assert sim.summary().collision_events == 8
+    sim.flush_pending()
+    assert (len(rows), sum(row[4] for row in rows)) == (659, 60)
+    digest = hashlib.sha256()
+    for obs, action, reward, next_obs, terminal in rows:
+        digest.update(repr((obs.tobytes(), action, reward, next_obs.tobytes(),
+                            terminal)).encode())
+    assert digest.hexdigest() == (
+        "c1e8f871349cb609e2bb8b1761a9bb828e1587d66337ce90a44a53c0c033b0d5")
 
 
 def test_all_red_must_be_shorter_than_every_phase(net_1s):
@@ -307,6 +360,31 @@ def test_event_csv_format(tmp_path, net_1u):
 def test_engine_config_decision_steps():
     assert EngineConfig().decision_steps == 10
     assert EngineConfig(dt=0.5, decision_period=1.0).decision_steps == 2
+
+
+@pytest.mark.parametrize("make,name", [
+    (lambda: EngineConfig(dt=math.nan), "dt"),
+    (lambda: EngineConfig(all_red=math.inf), "all_red"),
+    (lambda: DemandSchedule(total_vehicles=10, horizon=math.inf), "horizon"),
+    (lambda: DemandSchedule(total_vehicles=10, rv_penetration=math.nan),
+     "rv_penetration"),
+    (lambda: ScenarioConfig(episode_duration=math.nan), "episode_duration"),
+    (lambda: ExperimentSpec(("1U+0S",), (0.5, math.nan), (5,)), "rv_rates"),
+    (lambda: ExperimentSpec(("1U+0S",), (0.5,), (5,), duration=math.inf),
+     "duration"),
+], ids=["dt", "all_red", "horizon", "rv_penetration", "episode_duration",
+        "rv_rates", "sweep-duration"])
+def test_configs_reject_non_finite_numbers(make, name):
+    with pytest.raises((ValueError, MetricError),
+                       match=f"^{name} must be finite, got (nan|inf)$"):
+        make()
+
+
+@pytest.mark.parametrize("duration", [math.inf, math.nan])
+def test_run_rollout_rejects_non_finite_duration(net_1u, duration):
+    with pytest.raises(ValueError, match="duration must be finite"):
+        run_rollout(net_1u, DemandSchedule(total_vehicles=5), AlwaysGoPolicy(),
+                    seed=1, duration=duration)
 
 
 def test_demand_schedule_validation():

@@ -123,6 +123,14 @@ def _vehicle(position=0.0, speed=10.0):
                         speed=speed, route_id="R", route_index=0)
 
 
+def test_vehicle_state_rejects_unknown_attributes():
+    # A misspelt field would otherwise be a silent new attribute.
+    v = _vehicle()
+    with pytest.raises(AttributeError):
+        v.colided_at = 1.0
+    assert not hasattr(v, "__dict__")
+
+
 def test_advance_is_semi_implicit():
     v = _vehicle(position=100.0, speed=10.0)
     advance_vehicle(v, 1.0, 0.1)
