@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .idm import STOP_SPEED
-from .netmodel import Network
+from .netmodel import Network, UNSIGNALIZED
 
 GO = 0
 STOP = 1
@@ -56,6 +56,22 @@ def observation_lanes(net: Network, intersection_id: str,
 def observation_length(net: Network, intersection_id: str) -> int:
     """Three entries (queue, delay, occupancy) per incoming lane."""
     return 3 * len(net.incoming_lanes[intersection_id])
+
+
+def check_policy_fits(policy, net: Network) -> None:
+    """A policy that reads one observation length says so in `obs_dim`;
+    raise ValueError naming the first unsignalized intersection of net
+    whose observations have another length."""
+    expected = getattr(policy, "obs_dim", None)
+    if expected is None:
+        return
+    for inter in net.intersections:
+        if inter.control == UNSIGNALIZED:
+            length = observation_length(net, inter.id)
+            if length != expected:
+                raise ValueError(
+                    f"intersection {inter.id} gives observations of length "
+                    f"{length}, the policy reads {expected}")
 
 
 def default_obs_scale(obs_dim: int) -> np.ndarray:

@@ -14,6 +14,12 @@ construction. Wrecks are kept in collision order, so dwell expiry reads
 only the wrecks. Without a transition sink no decision is kept open and no
 reward is computed.
 
+Policy protocol: `decide(obs, rng) -> int` is required and is called per
+controlled RV, in sorted id order, with the simulation's generator. A
+policy that draws no randomness may also offer
+`decide_batch(observations) -> list[int]`; it is then asked once per
+decision tick, for every controlled RV's observation.
+
 Geometry convention: a vehicle's `position` is its front bumper's distance
 from the lane start. The last `zone_length` meters of every lane feeding an
 intersection form that intersection's interior (the conflict zone); the
@@ -33,7 +39,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .agent import (GO, ACTION_NAMES, CONTROL_ZONE, DECISION_PERIOD,
-                    RewardWeights, build_observation, compute_reward)
+                    RewardWeights, build_observation, check_policy_fits,
+                    compute_reward)
 from .idm import (B_EMERGENCY, DESIRED_SPEED, HV, MIN_GAP, RV, STOP_SPEED,
                   VehicleState, advance_vehicle, idm_acceleration)
 from .netmodel import Network, Movement, SIGNALIZED, UNSIGNALIZED
@@ -197,6 +204,8 @@ class Simulation:
         self.transition_sink = transition_sink
         self.log_decisions = log_decisions
         self.rng = np.random.default_rng(seed)
+        self._decide_batch = getattr(policy, "decide_batch", None)
+        check_policy_fits(policy, net)
 
         self.step_count = 0
         self.vehicles: dict[str, VehicleState] = {}
@@ -394,12 +403,22 @@ class Simulation:
         self.transition_sink(pend.obs, pend.action, reward, nxt, terminal)
 
     def _decision_step(self):
+        """Build every controlled RV's observation, then decide. An
+        observation reads queues, delays and zones, never another RV's
+        action at this tick, so a batch policy is asked once for all."""
         t = self.clock
-        for rv_id in sorted(filter(self.controlled, self.vehicles)):
+        rv_ids = sorted(filter(self.controlled, self.vehicles))
+        if not rv_ids:
+            return
+        observations = [build_observation(self, self.net, rv_id)
+                        for rv_id in rv_ids]
+        actions = (self._decide_batch(observations)
+                   if self._decide_batch is not None else None)
+        for i, (rv_id, obs) in enumerate(zip(rv_ids, observations)):
             v = self.vehicles[rv_id]
-            obs = build_observation(self, self.net, rv_id)
             self._close_pending(rv_id, obs, terminal=False)
-            action = self.policy.decide(obs, self.rng)
+            action = (actions[i] if actions is not None
+                      else self.policy.decide(obs, self.rng))
             v.current_action = action
             if self.transition_sink is not None:
                 self.pending[rv_id] = _Pending(obs=obs, action=action,

@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 
+from .agent import check_policy_fits
 from .engine import DemandSchedule, EngineConfig, require_finite, run_rollout
 from .netmodel import (GridGeometry, Network, NetworkError, generate_grid,
                        remove_left_turns)
@@ -153,9 +154,12 @@ def run_sweep(spec: ExperimentSpec, policy,
     processes would count no steps and skip its rollout checks. A pool
     needs a declared change to the benchmark first.
     """
-    # Every network is built before the first rollout, so a label that does
-    # not fit the grid fails before any work is done.
+    # Every network is built and checked against the policy before the
+    # first rollout, so a label that does not fit the grid, or a policy
+    # that does not fit a network, fails before any work is done.
     networks = {label: build_network(spec, label) for label in spec.configs}
+    for net in networks.values():
+        check_policy_fits(policy, net)
     results: list[ResultRow] = []
     for cell_index, label, rate, demand in spec.cells():
         net = networks[label]

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import qnet
 from .agent import default_obs_scale
+from .engine import require_finite
 from .qnet import NetSpec
 from .replay import ReplayBuffer, Transition
 
@@ -47,10 +48,16 @@ class LearnerConfig:
     episodes: int = 200
 
     def __post_init__(self):
+        require_finite(self)
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must be in (0, 1)")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be > 0")
+        for name in ("batch_size", "atoms", "target_sync"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not self.hidden or min(self.hidden) < 1:
+            raise ValueError("hidden must be one or more widths >= 1")
         if self.v_min >= self.v_max:
             raise ValueError("v_min must be < v_max")
 
@@ -223,16 +230,27 @@ class Learner:
 
 
 class PolicySnapshot:
-    """Read-only greedy policy view, safe to share across rollouts."""
+    """Read-only greedy policy view, safe to share across rollouts. It
+    draws no randomness, so the engine asks it once per decision tick
+    (decide_batch); each row is still one RV's own observation."""
 
     def __init__(self, params, support, obs_scale):
         self.params = params
         self.support = support
         self.obs_scale = obs_scale
 
+    @property
+    def obs_dim(self) -> int:
+        return len(self.obs_scale)
+
     def decide(self, obs: np.ndarray, rng=None) -> int:
         scaled = np.asarray(obs, dtype=np.float64) / self.obs_scale
         return int(np.argmax(qnet.q_values(self.params, scaled, self.support)))
+
+    def decide_batch(self, observations) -> list[int]:
+        scaled = np.stack(observations) / self.obs_scale
+        q = qnet.q_values_batch(self.params, scaled, self.support)
+        return np.argmax(q, axis=1).tolist()
 
 
 def _read_meta(data) -> tuple[dict, LearnerConfig]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .agent import RewardWeights, observation_length
+from .agent import RewardWeights, check_policy_fits, observation_length
 from .engine import (AlwaysGoPolicy, DemandSchedule, EngineConfig,
                      RandomPolicy, Simulation, require_finite)
 from .netmodel import Network, UNSIGNALIZED
@@ -79,10 +79,7 @@ def train(net: Network, episodes: int, seed: int, checkpoint_dir,
     obs_dim = observation_dim(net)
     if resume_from is not None:
         learner = Learner.load(resume_from)
-        if learner.obs_dim != obs_dim:
-            raise ValueError(
-                f"checkpoint expects obs length {learner.obs_dim}, "
-                f"network yields {obs_dim}")
+        check_policy_fits(learner, net)
     else:
         learner = Learner(obs_dim, learner_config, seed)
     os.makedirs(checkpoint_dir, exist_ok=True)

@@ -6,7 +6,7 @@ import pytest
 
 from stopgo.cli import config_keys, run
 from stopgo.netmodel import load_network
-from stopgo.rainbow import Learner
+from stopgo.rainbow import Learner, LearnerConfig
 
 FAST_TRAIN_CFG = """\
 hidden = 16
@@ -329,7 +329,14 @@ def test_netgen_rejects_impossible_grid(tmp_path):
                                       ("rv_rate = inf",
                                        "rv_rate must be finite"),
                                       ("learning_rate = nan",
-                                       "learning_rate must be finite")])
+                                       "learning_rate must be finite"),
+                                      ("learning_rate = -1",
+                                       "learning_rate must be > 0"),
+                                      ("target_sync = 0",
+                                       "target_sync must be >= 1"),
+                                      ("hidden = 0", "hidden must be"),
+                                      ("hidden = ", "hidden must be"),
+                                      ("atoms = 0", "atoms must be >= 1")])
 def test_train_config_error_names_the_key(tmp_path, capsys, line, key):
     net = _netgen(tmp_path)
     cfg = tmp_path / "train.cfg"
@@ -345,6 +352,60 @@ def test_train_config_error_names_the_key(tmp_path, capsys, line, key):
                 "--config", str(cfg), "--quiet"]) == 2
     assert key in capsys.readouterr().err
     assert not ckpt_dir.exists()
+
+
+def _checkpoint(tmp_path, obs_dim):
+    path = tmp_path / f"ck{obs_dim}.npz"
+    Learner(obs_dim, LearnerConfig(hidden=(16,), atoms=11), seed=1).save(path)
+    return path
+
+
+def _t_junction(tmp_path):
+    """The 1U grid without its north approach: three incoming lanes."""
+    blocks = _netgen(tmp_path).read_text().split("\n\n")
+    path = tmp_path / "t.txt"
+    path.write_text("\n\n".join(b for b in blocks if "L_BN0x0_J0" not in b
+                                  and "M_J0_n_" not in b))
+    return path
+
+
+def test_simulate_rejects_a_checkpoint_of_another_observation_length(
+        tmp_path, capsys):
+    events = tmp_path / "e.csv"
+    assert run(["simulate", "--network", str(_t_junction(tmp_path)),
+                "--demand", "60", "--rv-rate", "0.6", "--duration", "100",
+                "--policy", str(_checkpoint(tmp_path, 12)),
+                "--events", str(events)]) == 2
+    err = capsys.readouterr().err
+    assert "intersection J0 gives observations of length 9, " \
+           "the policy reads 12" in err
+    assert not events.exists()
+
+
+def test_sweep_rejects_a_checkpoint_of_another_observation_length(
+        tmp_path, capsys):
+    spec = tmp_path / "sweep.cfg"
+    # The fully signalized config comes first and has nothing to check.
+    spec.write_text("configs = 0U+2S, 2U+0S\nrv_rates = 0.5\ndemands = 5\n"
+                    "rollouts = 1\nrows = 1\ncols = 2\nduration = 30\n")
+    out = tmp_path / "r.csv"
+    assert run(["sweep", "--spec", str(spec), "--out", str(out),
+                "--policy", str(_checkpoint(tmp_path, 9))]) == 2
+    captured = capsys.readouterr()
+    assert "gives observations of length 12, the policy reads 9" \
+        in captured.err
+    assert "cell" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("obs_dim", [9, 12])
+def test_checkpoint_runs_on_a_network_without_unsignalized_junctions(
+        tmp_path, obs_dim):
+    net = _netgen(tmp_path, unsignalized=0, signalized=1)
+    assert run(["simulate", "--network", str(net), "--demand", "20",
+                "--rv-rate", "0.6", "--duration", "60",
+                "--policy", str(_checkpoint(tmp_path, obs_dim)),
+                "--summary", str(tmp_path / "s.txt")]) == 0
 
 
 def _readme_config_keys() -> dict[str, set[str]]:

@@ -20,8 +20,9 @@ from stopgo.engine import (
 )
 from stopgo.metrics import ExperimentSpec, MetricError
 from stopgo.netmodel import GridGeometry, generate_grid
+from stopgo.rainbow import Learner, LearnerConfig
 from stopgo.signals import permitted_movements, phase_at
-from stopgo.training import ScenarioConfig
+from stopgo.training import ScenarioConfig, observation_dim
 
 
 class AlwaysStopPolicy:
@@ -392,3 +393,24 @@ def test_demand_schedule_validation():
         DemandSchedule(total_vehicles=-1)
     with pytest.raises(ValueError):
         DemandSchedule(total_vehicles=10, rv_penetration=1.5)
+
+
+def test_batch_policy_logs_what_per_row_decisions_log():
+    """The dense benchmark's greedy 512^3 policy asked once per decision
+    tick (decide_batch) logs the same events as when each RV asks it alone
+    (a wrapper that exposes only decide)."""
+    net = generate_grid(12, 2, GridGeometry(rows=2, cols=7))
+    policy = Learner(observation_dim(net), LearnerConfig(), 1).snapshot()
+
+    class PerRow:
+        def decide(self, obs, rng):
+            return policy.decide(obs, rng)
+
+    schedule = DemandSchedule(total_vehicles=1200, horizon=1000.0,
+                              rv_penetration=0.6)
+    logs = []
+    for p in (policy, PerRow()):
+        events, _ = run_rollout(net, schedule, p, seed=1, duration=300.0)
+        logs.append([format_event(e) for e in events])
+    assert sum(",Decision," in line for line in logs[0]) > 2000
+    assert logs[0] == logs[1]

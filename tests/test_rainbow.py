@@ -304,3 +304,33 @@ def test_loading_rejects_another_checkpoint_version(tmp_path, load):
     with pytest.raises(ValueError,
                        match=f"checkpoint version {CHECKPOINT_VERSION + 1}"):
         load(path)
+
+
+@pytest.mark.parametrize("hidden", [(16,), (128, 128), (512, 512, 512)])
+def test_decide_batch_equals_one_decide_per_row(hidden):
+    snap = Learner(12, LearnerConfig(hidden=hidden), seed=2).snapshot()
+    rng = np.random.default_rng(7)
+    for k in (1, 2, 6, 12):
+        for _ in range(5):
+            rows = [rng.uniform(0.0, [10.0, 60.0, 1.0] * 4) for _ in range(k)]
+            actions = snap.decide_batch(rows)
+            assert actions == [snap.decide(x) for x in rows]
+            assert all(type(a) is int for a in actions)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("learning_rate", float("nan"), "learning_rate must be finite"),
+    ("v_max", float("inf"), "v_max must be finite"),
+    ("gamma", float("nan"), "gamma must be finite"),
+    ("learning_rate", 0.0, "learning_rate must be > 0"),
+    ("learning_rate", -1.0, "learning_rate must be > 0"),
+    ("target_sync", 0, "target_sync must be >= 1"),
+    ("atoms", 0, "atoms must be >= 1"),
+    ("batch_size", 0, "batch_size must be >= 1"),
+    ("hidden", (), "hidden must be one or more widths >= 1"),
+    ("hidden", (0,), "hidden must be one or more widths >= 1"),
+    ("hidden", (16, -4), "hidden must be one or more widths >= 1"),
+])
+def test_learner_config_rejects_bad_settings_by_name(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        LearnerConfig(**{field: value})
