@@ -14,7 +14,6 @@ import sys
 import typing
 
 from . import configfile, metrics, netmodel, training
-from .agent import RewardWeights
 from .configfile import as_bool, as_float, as_int, as_list
 from .engine import DemandSchedule, EngineConfig, run_rollout, write_events_csv
 from .rainbow import LearnerConfig
@@ -94,8 +93,7 @@ _ALIASES = {"total_vehicles": "demand", "episode_duration": "duration",
 # Per subcommand: the dataclasses built from its config, and the keys the
 # subcommand reads itself.
 _CONFIGS = {
-    "train": ((LearnerConfig, ScenarioConfig, EngineConfig, RewardWeights),
-              ("seed",)),
+    "train": ((LearnerConfig, ScenarioConfig, EngineConfig), ("seed",)),
     "simulate": ((DemandSchedule, EngineConfig),
                  ("duration", "policy", "seed")),
     "sweep": ((metrics.ExperimentSpec, EngineConfig), ("policy",)),
@@ -194,7 +192,6 @@ def _cmd_train(args) -> int:
     training.train(net, learner_config.episodes, seed, args.checkpoint,
                    learner_config=learner_config, scenario=scenario,
                    engine_config=_build(EngineConfig, values),
-                   weights=_build(RewardWeights, values),
                    resume_from=resume, quiet=args.quiet)
     print(f"checkpoint written to {args.checkpoint}")
     return 0

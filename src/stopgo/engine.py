@@ -6,13 +6,18 @@ positions, conflict-zone occupancy, collision detection, and departures in
 a fixed order, so identical inputs give byte-identical event logs.
 
 A step costs about what its traffic costs. The engine keeps the sorted
-ids of the occupied lanes and walks only those. Signalized intersections
-that share a timing share one phase lookup, made only from one step before
-the next phase end or clearance start until that boundary has passed; the
-permitted sets are kept in between. Threat lanes are tabled per movement at
-construction. Wrecks are kept in collision order, so dwell expiry reads
-only the wrecks. Without a transition sink no decision is kept open and no
-reward is computed.
+ids of the occupied lanes and walks only those. Each signalized
+intersection's phase is looked up only from one step before its next phase
+end or clearance start until that boundary has passed; the permitted sets
+are kept in between. Threat lanes are tabled per movement at construction.
+Wrecks are kept in collision order, so dwell expiry reads only the wrecks.
+Without a transition sink no decision is kept open and no reward is
+computed.
+
+The rules' constants are fixed: every vehicle is VEHICLE_LENGTH long (idm),
+RVs decide every DECISION_PERIOD inside CONTROL_ZONE of the stop line
+(agent), stop-line rules engage within ENGAGE_RANGE of the line, and an HV
+accepts a gap when every threat is at least GAP_ACCEPT_TTA away.
 
 Policy protocol: `decide(obs, rng) -> int` is required and is called per
 controlled RV, in sorted id order, with the simulation's generator. A
@@ -39,17 +44,21 @@ from typing import NamedTuple
 import numpy as np
 
 from .agent import (GO, ACTION_NAMES, CONTROL_ZONE, DECISION_PERIOD,
-                    RewardWeights, build_observation, check_policy_fits,
-                    compute_reward)
+                    build_observation, check_policy_fits, compute_reward)
 from .idm import (B_EMERGENCY, DESIRED_SPEED, HV, MIN_GAP, RV, STOP_SPEED,
-                  VehicleState, advance_vehicle, idm_acceleration)
-from .netmodel import Network, Movement, SIGNALIZED, UNSIGNALIZED
+                  VEHICLE_LENGTH, VehicleState, advance_vehicle,
+                  idm_acceleration)
+from .netmodel import (Network, Movement, SIGNALIZED, UNSIGNALIZED,
+                       boundary_side)
 from .signals import in_clearance, permitted_movements, phase_at
 
 REAR_END = "RearEnd"
 CROSSING = "Crossing"
 
 EVENT_COLUMNS = ("time", "event_type", "vehicle_ids", "location", "extra")
+
+GAP_ACCEPT_TTA = 4.0   # s, an HV's critical time-to-arrival at unsignalized
+ENGAGE_RANGE = 50.0    # m before the stop line where stop-line rules apply
 
 
 def require_finite(config, error=ValueError) -> None:
@@ -66,13 +75,8 @@ def require_finite(config, error=ValueError) -> None:
 class EngineConfig:
     dt: float = 0.1
     zone_length: float = 12.0       # interior depth of an intersection box
-    vehicle_length: float = 5.0
-    gap_accept_tta: float = 4.0     # HV critical time-to-arrival at unsignalized
-    engage_range: float = 50.0      # distance at which stop-line rules kick in
     collision_dwell: float = 5.0    # wreck blocks the road this long
     all_red: float = 0.0            # clearance tail carved out of each phase
-    control_zone: float = CONTROL_ZONE
-    decision_period: float = DECISION_PERIOD
 
     def __post_init__(self):
         require_finite(self)
@@ -80,26 +84,22 @@ class EngineConfig:
             raise ValueError("dt must be > 0")
         if self.zone_length <= 0:
             raise ValueError("zone_length must be > 0")
-        if self.vehicle_length <= 0:
-            raise ValueError("vehicle_length must be > 0")
-        for name in ("gap_accept_tta", "engage_range", "collision_dwell",
-                     "all_red", "control_zone"):
+        for name in ("collision_dwell", "all_red"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.decision_period <= 0:
-            raise ValueError("decision_period must be > 0")
 
     @property
     def decision_steps(self) -> int:
-        return max(1, round(self.decision_period / self.dt))
+        return max(1, round(DECISION_PERIOD / self.dt))
 
 
 @dataclass(frozen=True)
 class DemandSchedule:
     """Spawn plan: total_vehicles arrive uniformly over the horizon, routed
-    by an origin-weighted draw (the east-west axis is weighted axis_bias : 1
-    to give the demand a dominant direction), with a deterministic quota
-    making exactly round(rv_penetration * total) of them RVs."""
+    by an origin-weighted draw (routes entering from the east or west
+    boundary, see netmodel.boundary_side, are weighted axis_bias : 1 to give
+    the demand a dominant direction), with a deterministic quota making
+    exactly round(rv_penetration * total) of them RVs."""
     total_vehicles: int
     horizon: float = 1000.0
     rv_penetration: float = 0.0
@@ -173,13 +173,10 @@ class _Lane(NamedTuple):
     stop_line: float | None
 
 
-@dataclass
-class _Pending:
+class _Pending(NamedTuple):
     """An RV decision whose transition is not yet complete."""
     obs: np.ndarray
     action: int
-    delay: float
-    collided: bool = False
 
 
 class Simulation:
@@ -194,13 +191,11 @@ class Simulation:
 
     def __init__(self, net: Network, schedule: DemandSchedule, policy,
                  seed: int, config: EngineConfig = EngineConfig(),
-                 weights: RewardWeights = RewardWeights(),
                  transition_sink=None, log_decisions: bool = True):
         self.net = net
         self.schedule = schedule
         self.policy = policy
         self.config = config
-        self.weights = weights
         self.transition_sink = transition_sink
         self.log_decisions = log_decisions
         self.rng = np.random.default_rng(seed)
@@ -240,19 +235,13 @@ class Simulation:
         self._spawn_queues: dict[str, deque] = {}   # origin lane -> arrivals
         self._wrecks: deque[VehicleState] = deque()  # in collision order
         self._route_ids, self._route_probs = self._route_table()
-        # Signalized intersections grouped by their phase durations, the
-        # only part of a plan that phase_at reads: one lookup per group.
-        groups: dict[tuple[float, ...], list] = {}
-        for inter in net.intersections:
-            if inter.control == SIGNALIZED:
-                durations = tuple(p.duration for p in inter.plan.phases)
-                if config.all_red >= min(durations):
-                    raise ValueError(
-                        f"all_red = {config.all_red:g} must be shorter than "
-                        "every signal phase")
-                groups.setdefault(durations, []).append(inter)
-        self._signal_groups = [(members[0].plan, members)
-                               for members in groups.values()]
+        self._signalized = [i for i in net.intersections
+                            if i.control == SIGNALIZED]
+        for inter in self._signalized:
+            if config.all_red >= min(p.duration for p in inter.plan.phases):
+                raise ValueError(
+                    f"all_red = {config.all_red:g} must be shorter than "
+                    "every signal phase")
         self._signal_check = 0      # the next step that looks phases up
         # Movement id -> the approach lanes of its conflicting movements.
         self._threat_lanes = {
@@ -279,10 +268,8 @@ class Simulation:
     def _route_table(self):
         ids, weights = [], []
         for r in self.net.routes:
-            origin = r.lane_chain[0]
-            source = origin.split("_")[1]
-            axis = source[1] if source.startswith("B") else "N"
-            weights.append(self.schedule.axis_bias if axis in ("E", "W") else 1.0)
+            side = boundary_side(r.lane_chain[0])
+            weights.append(self.schedule.axis_bias if side in ("E", "W") else 1.0)
             ids.append(r.id)
         if not ids:
             raise ValueError("network has no routes to spawn on")
@@ -299,7 +286,7 @@ class Simulation:
 
     def controlled(self, vid: str) -> bool:
         """Whether the Stop/Go policy drives the vehicle: a healthy RV whose
-        front is within control_zone of the stop line of an unsignalized
+        front is within CONTROL_ZONE of the stop line of an unsignalized
         intersection it will cross."""
         v = self.vehicles[vid]
         if v.kind != RV or v.collided_at is not None \
@@ -307,7 +294,7 @@ class Simulation:
             return False
         lane = self._lanes[v.lane]
         return (lane.control == UNSIGNALIZED and
-                0.0 <= lane.stop_line - v.position <= self.config.control_zone)
+                0.0 <= lane.stop_line - v.position <= CONTROL_ZONE)
 
     def _movement_after(self, v: VehicleState) -> Movement | None:
         chain = self.net.route_by_id[v.route_id].lane_chain
@@ -333,14 +320,13 @@ class Simulation:
 
         if not self._spawn_queues:
             return
-        cfg = self.config
         for origin in sorted(self._spawn_queues):
             queue = self._spawn_queues[origin]
             while queue:
                 tail = self.lane_vehicles[origin]
                 tail = tail[-1] if tail else None
                 if tail is not None and tail.position - tail.length \
-                        < MIN_GAP + cfg.vehicle_length:
+                        < MIN_GAP + VEHICLE_LENGTH:
                     break
                 k, route_id, kind = queue.popleft()
                 speed = self._lanes[origin].desired_speed
@@ -348,9 +334,8 @@ class Simulation:
                     speed = min(speed, tail.speed)
                 v = VehicleState(
                     id=f"V{k:06d}", kind=kind, lane=origin,
-                    position=cfg.vehicle_length, speed=speed,
-                    route_id=route_id, route_index=0,
-                    length=cfg.vehicle_length)
+                    position=VEHICLE_LENGTH, speed=speed,
+                    route_id=route_id, route_index=0)
                 self.vehicles[v.id] = v
                 if tail is None:
                     insort(self.occupied_lanes, origin)
@@ -367,8 +352,8 @@ class Simulation:
     # -- signals -------------------------------------------------------------
 
     def _update_signals(self):
-        """Set `permitted` for the current step. A group's permitted sets
-        change only at its phase end or clearance start, so the phases are
+        """Set `permitted` for the current step. A signal's permitted set
+        changes only at its phase end or clearance start, so the phases are
         looked up from one step before the earliest such boundary (a step
         of margin for the rounding of t % cycle) and then every step until
         it has passed."""
@@ -379,26 +364,26 @@ class Simulation:
         dt, all_red = self.config.dt, self.config.all_red
         check = math.inf
         self.permitted = {}
-        for plan, members in self._signal_groups:
+        for inter in self._signalized:
+            plan = inter.plan
             state = phase_at(plan, t)
             boundary = plan.phases[state.phase_index].duration
             if not in_clearance(plan, state, all_red):
                 boundary -= all_red
             check = min(check, n - 1 + int(
                 (boundary - state.time_into_phase) / dt))
-            for inter in members:
-                self.permitted[inter.id] = permitted_movements(
-                    inter.plan, state, all_red)
+            self.permitted[inter.id] = permitted_movements(plan, state, all_red)
         self._signal_check = max(n + 1, check)
 
     # -- decisions -----------------------------------------------------------
 
-    def _close_pending(self, rv_id: str, next_obs, terminal: bool):
+    def _close_pending(self, rv_id: str, next_obs, terminal: bool,
+                       collided: bool = False):
         pend = self.pending.pop(rv_id, None)
         if pend is None:
             return
-        reward = compute_reward(pend.delay, pend.action, pend.collided,
-                                self.weights)
+        # obs[1] is the ego approach's mean delay at decision time.
+        reward = compute_reward(float(pend.obs[1]), pend.action, collided)
         nxt = pend.obs * 0.0 if next_obs is None else next_obs
         self.transition_sink(pend.obs, pend.action, reward, nxt, terminal)
 
@@ -421,8 +406,7 @@ class Simulation:
                       else self.policy.decide(obs, self.rng))
             v.current_action = action
             if self.transition_sink is not None:
-                self.pending[rv_id] = _Pending(obs=obs, action=action,
-                                               delay=float(obs[1]))
+                self.pending[rv_id] = _Pending(obs, action)
             if self.log_decisions:
                 self.events.append(Event(
                     t, "Decision", (rv_id,), v.lane,
@@ -472,20 +456,19 @@ class Simulation:
         """Gap acceptance at an unsignalized intersection: enter only when
         the zone holds no conflicting vehicle, no earlier-processed vehicle
         claimed a conflicting entry this step, and every threat is at least
-        gap_accept_tta from its stop line."""
+        GAP_ACCEPT_TTA from its stop line."""
         if self._zone_conflict_occupied(iid, movement):
             return False
         claimed = claims.get(iid)
         conflicts = self.net.conflict_sets[movement.id]
         if claimed and any(mid in conflicts for mid in claimed):
             return False
-        return all(dist / w.speed >= self.config.gap_accept_tta
+        return all(dist / w.speed >= GAP_ACCEPT_TTA
                    for w, dist in self._threats(movement))
 
     def _compute_accelerations(self) -> dict[str, float]:
         accel: dict[str, float] = {}
         claims: dict[str, list[str]] = {}
-        cfg = self.config
         permitted = self.permitted
         next_move = self.next_move
         lane_vehicles = self.lane_vehicles
@@ -524,14 +507,14 @@ class Simulation:
                     elif control == SIGNALIZED:
                         if movement.id not in permitted[iid]:
                             hold = True
-                        elif d_stop <= cfg.engage_range:
+                        elif d_stop <= ENGAGE_RANGE:
                             hold = (self._zone_conflict_occupied(iid, movement)
                                     or self._committed_runner(movement))
                     elif control == UNSIGNALIZED:
                         if v.kind == RV:
                             hold = (self.controlled(v.id)
                                     and v.current_action != GO)
-                        elif d_stop <= cfg.engage_range \
+                        elif d_stop <= ENGAGE_RANGE \
                                 and self._front_before_line(lane_id) is v:
                             if self._hv_cleared(iid, movement, claims):
                                 claims.setdefault(iid, []).append(movement.id)
@@ -622,9 +605,7 @@ class Simulation:
                 v.collided_at = t
                 v.speed = 0.0
                 self._wrecks.append(v)
-            if v.id in self.pending:
-                self.pending[v.id].collided = True
-                self._close_pending(v.id, None, terminal=True)
+            self._close_pending(v.id, None, terminal=True, collided=True)
 
     def _detect_collisions(self):
         t = self.clock

@@ -23,6 +23,8 @@ B_EMERGENCY = 6.0
 
 STOP_SPEED = 0.1  # below this a vehicle counts as stopped/queued
 
+VEHICLE_LENGTH = 5.0  # meters, bumper to bumper, for every vehicle
+
 # IDM parameters, shared by every vehicle. The acceleration exponent delta
 # is the literal 4 in idm_acceleration, and the engine caps the desired
 # speed at each lane's speed limit.
@@ -79,7 +81,7 @@ class VehicleState:
     speed: float
     route_id: str
     route_index: int
-    length: float = 5.0
+    length: float = VEHICLE_LENGTH
     waiting_time: float = 0.0
     current_action: int | None = None   # last Stop/Go decision on this lane
     collided_at: float | None = None    # set when involved in a collision

@@ -81,10 +81,6 @@ def aggregate(rows) -> CellSummary:
 _LABEL_RE = re.compile(r"^(\d+)U\+(\d+)S$")
 
 
-def config_label(num_unsignalized: int, num_signalized: int) -> str:
-    return f"{num_unsignalized}U+{num_signalized}S"
-
-
 def parse_config_label(label: str) -> tuple[int, int]:
     m = _LABEL_RE.match(label.strip())
     if not m:

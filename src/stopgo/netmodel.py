@@ -677,6 +677,14 @@ def shortest_lane_path(net: Network, origin: str,
     return _chain_to(tree, dest) if dest in tree else None
 
 
+def boundary_side(lane_id: str) -> str | None:
+    """The side (N, E, S or W) of the boundary node a generated entry lane
+    `L_B{side}{r}x{c}_{v}` comes from; None for any other lane id."""
+    parts = lane_id.split("_")
+    source = parts[1] if len(parts) > 1 else ""
+    return source[1] if source.startswith("B") and len(source) > 1 else None
+
+
 def _build_boundary_routes(net: Network) -> tuple[Route, ...]:
     exits = sorted(boundary_exit_lanes(net))
     routes = []

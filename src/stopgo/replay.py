@@ -55,13 +55,6 @@ class Batch:
             yield Transition(*row)
 
 
-def _extend(array: np.ndarray, rows: int) -> np.ndarray:
-    """A copy of array with room for `rows` rows; the new rows are unset."""
-    out = np.empty((rows,) + array.shape[1:], dtype=array.dtype)
-    out[:len(array)] = array
-    return out
-
-
 class SumTree:
     """Complete binary tree over leaf weights supporting O(log n) updates
     and prefix-sum lookup. Parents are recomputed as left + right on every
@@ -126,26 +119,21 @@ class ReplayBuffer:
         self.tree.update(index, raw ** self.alpha_per)
 
     def _reserve(self, transition: Transition) -> Batch:
-        """The storage arrays, with room for row write_index."""
+        """The storage arrays, allocated at capacity rows on the first
+        insert: pages no row has been written to are never resident."""
         store = self.store
         if store is None:
             self.tree = SumTree(self.capacity)
-            dim = len(transition.obs)
-            store = Batch(np.empty((0, dim)), np.empty(0, np.int64),
-                          np.empty(0), np.empty((0, dim)), np.empty(0, bool))
+            n, dim = self.capacity, len(transition.obs)
+            store = self.store = Batch(
+                np.empty((n, dim)), np.empty(n, np.int64), np.empty(n),
+                np.empty((n, dim)), np.empty(n, bool))
         dim = store.obs.shape[1]
         for name in ("obs", "next_obs"):
             length = len(getattr(transition, name))
             if length != dim:
                 raise ValueError(f"transition {name} has length {length}, "
                                  f"the buffer stores length {dim}")
-        rows = len(store)
-        if self.write_index == rows:
-            grown = min(self.capacity, max(1, 2 * rows))
-            store = Batch(*(_extend(a, grown) for a in (
-                store.obs, store.action, store.reward, store.next_obs,
-                store.terminal)))
-        self.store = store
         return store
 
     def insert(self, transition: Transition) -> int:

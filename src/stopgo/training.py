@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .agent import RewardWeights, check_policy_fits, observation_length
+from .agent import check_policy_fits, observation_length
 from .engine import (AlwaysGoPolicy, DemandSchedule, EngineConfig,
                      RandomPolicy, Simulation, require_finite)
 from .netmodel import Network, UNSIGNALIZED
@@ -72,7 +72,6 @@ def train(net: Network, episodes: int, seed: int, checkpoint_dir,
           learner_config: LearnerConfig = LearnerConfig(),
           scenario: ScenarioConfig = ScenarioConfig(),
           engine_config: EngineConfig = EngineConfig(),
-          weights: RewardWeights = RewardWeights(),
           resume_from=None, quiet: bool = False) -> Learner:
     """Run the full training loop and leave a checkpoint + curve CSV in
     checkpoint_dir. Bit-reproducible for fixed inputs and seed."""
@@ -102,8 +101,8 @@ def train(net: Network, episodes: int, seed: int, checkpoint_dir,
                 ep_rewards.append(reward)
 
             sim = Simulation(net, schedule, policy, seed=seed + 1 + episode,
-                             config=engine_config, weights=weights,
-                             transition_sink=sink, log_decisions=False)
+                             config=engine_config, transition_sink=sink,
+                             log_decisions=False)
             steps = round(scenario.episode_duration / engine_config.dt)
             for _ in range(steps):
                 sim.step()

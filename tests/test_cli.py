@@ -98,6 +98,11 @@ def test_simulate_requires_demand(tmp_path):
     assert run(["simulate", "--network", str(net)]) == 1
 
 
+# Engine settings that are now constants: keys no subcommand reads.
+RETIRED_ENGINE_KEYS = {"vehicle_length", "gap_accept_tta", "engage_range",
+                       "control_zone", "decision_period"}
+
+
 @pytest.mark.parametrize("line,key", [("dt = 0", "dt"),
                                       ("zone_length = 500", "zone_length"),
                                       ("zone_length = 0", "zone_length"),
@@ -127,7 +132,9 @@ def test_simulate_rejects_bad_engine_setting(tmp_path, capsys, line, key):
     cfg.write_text(line + "\n")
     assert run(["simulate", "--network", str(net), "--demand", "10",
                 "--duration", "50", "--config", str(cfg)]) == 2
-    assert f"{key} " in capsys.readouterr().err
+    expected = (f"unknown config key {key!r}" if key in RETIRED_ENGINE_KEYS
+                else f"{key} ")
+    assert expected in capsys.readouterr().err
 
 
 def test_sweep_rejects_zero_duration(tmp_path, capsys):
@@ -169,6 +176,49 @@ def test_simulate_rejects_reward_keys(tmp_path, capsys, key):
     assert run(["simulate", "--network", str(net), "--demand", "10",
                 "--duration", "50", "--config", str(cfg)]) == 2
     assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+HAND_WRITTEN_NETWORK = """\
+[intersection]
+id = J
+control = unsignalized
+
+[lane]
+id = In
+length = 100
+speed_limit = 13.9
+downstream = J
+
+[lane]
+id = Out
+length = 100
+speed_limit = 13.9
+
+[movement]
+id = M
+from = In
+to = Out
+turn = straight
+
+[route]
+id = R
+lanes = In, Out
+"""
+
+
+def test_simulate_runs_a_network_with_free_lane_ids(tmp_path):
+    # Lane ids outside the grid generator's L_{u}_{v} convention weigh 1
+    # in the route draw.
+    net = tmp_path / "net.txt"
+    net.write_text(HAND_WRITTEN_NETWORK)
+    events = tmp_path / "events.csv"
+    assert run(["simulate", "--network", str(net), "--demand", "10",
+                "--rv-rate", "0.5", "--duration", "50",
+                "--events", str(events),
+                "--summary", str(tmp_path / "s.txt")]) == 0
+    rows = events.read_text().splitlines()
+    assert rows[1] == "2.5,Spawn,V000000,In,kind=RV;route=R"
+    assert any(",Departure," in row for row in rows)
 
 
 @pytest.mark.parametrize("flags,key", [
@@ -336,7 +386,11 @@ def test_netgen_rejects_impossible_grid(tmp_path):
                                        "target_sync must be >= 1"),
                                       ("hidden = 0", "hidden must be"),
                                       ("hidden = ", "hidden must be"),
-                                      ("atoms = 0", "atoms must be >= 1")])
+                                      ("atoms = 0", "atoms must be >= 1"),
+                                      ("alpha = 2",
+                                       "unknown config key 'alpha'"),
+                                      ("beta_penalty = 2",
+                                       "unknown config key 'beta_penalty'")])
 def test_train_config_error_names_the_key(tmp_path, capsys, line, key):
     net = _netgen(tmp_path)
     cfg = tmp_path / "train.cfg"

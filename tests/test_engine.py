@@ -231,10 +231,10 @@ def test_red_signal_holds_vehicles_at_the_line(net_1s, all_red):
 
 @pytest.mark.parametrize("all_red", [0.0, 1.05, 3.0])
 def test_signals_with_several_timings_follow_each_plan(all_red):
-    """The engine looks a phase up once per distinct timing and reuses the
-    permitted sets while no timing changes phase or enters its clearance
-    tail; with several timings each intersection still follows its own,
-    also where phase ends fall between two steps."""
+    """The engine looks each signal's phase up only near a boundary and
+    reuses the permitted sets while no signal changes phase or enters its
+    clearance tail; with several timings each intersection still follows
+    its own, also where phase ends fall between two steps."""
     net = generate_grid(0, 6, GridGeometry(rows=2, cols=3))
     intersections = []
     for k, inter in enumerate(net.intersections):
@@ -360,7 +360,7 @@ def test_event_csv_format(tmp_path, net_1u):
 
 def test_engine_config_decision_steps():
     assert EngineConfig().decision_steps == 10
-    assert EngineConfig(dt=0.5, decision_period=1.0).decision_steps == 2
+    assert EngineConfig(dt=0.5).decision_steps == 2
 
 
 @pytest.mark.parametrize("make,name", [

@@ -12,7 +12,6 @@ from stopgo.metrics import (
     aggregate,
     build_network,
     collision_rate,
-    config_label,
     format_percent,
     parse_config_label,
     run_sweep,
@@ -41,7 +40,6 @@ def test_format_percent():
 
 
 def test_config_label_round_trip():
-    assert config_label(12, 2) == "12U+2S"
     assert parse_config_label("12U+2S") == (12, 2)
     assert parse_config_label("0U+14S") == (0, 14)
     with pytest.raises(MetricError):

@@ -66,17 +66,6 @@ def test_buffer_is_a_ring():
     assert buf.store.next_obs[:, 0].tolist() == [5.0, 6.0, 3.0, 4.0]
 
 
-def test_storage_grows_by_doubling_up_to_capacity():
-    buf = ReplayBuffer(capacity=37)
-    assert buf.store is None and buf.tree is None
-    lengths = []
-    for tag in range(40):
-        buf.insert(_transition(tag))
-        lengths.append(len(buf.store))
-    assert sorted(set(lengths)) == [1, 2, 4, 8, 16, 32, 37]
-    assert len(buf) == 37
-
-
 @pytest.mark.parametrize("field", ["obs", "next_obs"])
 def test_insert_rejects_another_obs_length(field):
     buf = ReplayBuffer(capacity=8)
