@@ -19,7 +19,6 @@ from .netmodel import Network, UNSIGNALIZED
 
 GO = 0
 STOP = 1
-ACTIONS = (GO, STOP)
 ACTION_NAMES = {GO: "Go", STOP: "Stop"}
 
 CONTROL_ZONE = 30.0   # meters upstream of the stop line
@@ -58,6 +57,24 @@ def observation_length(net: Network, intersection_id: str) -> int:
     return 3 * len(net.incoming_lanes[intersection_id])
 
 
+def _unsignalized_lengths(net: Network) -> dict[str, int]:
+    """Observation length of each unsignalized intersection, in network
+    order: the intersections where a policy decides."""
+    return {i.id: observation_length(net, i.id)
+            for i in net.intersections if i.control == UNSIGNALIZED}
+
+
+def observation_dim(net: Network) -> int:
+    """Shared observation length across unsignalized intersections."""
+    sizes = set(_unsignalized_lengths(net).values())
+    if not sizes:
+        raise ValueError("network has no unsignalized intersections to train on")
+    if len(sizes) > 1:
+        raise ValueError(
+            f"unsignalized intersections disagree on lane count: {sorted(sizes)}")
+    return sizes.pop()
+
+
 def check_policy_fits(policy, net: Network) -> None:
     """A policy that reads one observation length says so in `obs_dim`;
     raise ValueError naming the first unsignalized intersection of net
@@ -65,13 +82,11 @@ def check_policy_fits(policy, net: Network) -> None:
     expected = getattr(policy, "obs_dim", None)
     if expected is None:
         return
-    for inter in net.intersections:
-        if inter.control == UNSIGNALIZED:
-            length = observation_length(net, inter.id)
-            if length != expected:
-                raise ValueError(
-                    f"intersection {inter.id} gives observations of length "
-                    f"{length}, the policy reads {expected}")
+    for iid, length in _unsignalized_lengths(net).items():
+        if length != expected:
+            raise ValueError(
+                f"intersection {iid} gives observations of length "
+                f"{length}, the policy reads {expected}")
 
 
 def default_obs_scale(obs_dim: int) -> np.ndarray:

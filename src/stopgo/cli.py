@@ -209,7 +209,8 @@ def _cmd_simulate(args) -> int:
     duration = as_float(values, "duration", 1000.0)
     # The schedule's horizon defaults to the run's duration.
     schedule = _build(DemandSchedule, {"horizon": duration, **values})
-    policy = training.make_policy(str(values.get("policy", "random")))
+    policy_token = str(values.get("policy", "random"))
+    policy = training.make_policy(policy_token)
     seed = as_int(values, "seed", 0)
     events, summary = run_rollout(
         net, schedule, policy, seed, duration, _build(EngineConfig, values),
@@ -217,7 +218,7 @@ def _cmd_simulate(args) -> int:
     if args.events:
         write_events_csv(events, args.events)
     text = (f"network = {args.network}\n"
-            f"policy = {values.get('policy', 'random')}\n"
+            f"policy = {policy_token}\n"
             f"seed = {seed}\n"
             f"demand = {schedule.total_vehicles}\n"
             f"rv_penetration = {schedule.rv_penetration:g}\n"

@@ -30,7 +30,9 @@ from the lane start. The last `zone_length` meters of every lane feeding an
 intersection form that intersection's interior (the conflict zone); the
 stop line sits at lane.length - zone_length. A vehicle occupies the zone
 from the moment its front passes the stop line until its rear has fully
-entered the movement's exit lane.
+entered the movement's exit lane. Each vehicle's record carries its
+routing and zone state: `next_move`, the movement out of its lane, and
+`zone`, the movement whose zone it occupies.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ import numpy as np
 
 from .agent import (GO, ACTION_NAMES, CONTROL_ZONE, DECISION_PERIOD,
                     build_observation, check_policy_fits, compute_reward)
-from .idm import (B_EMERGENCY, DESIRED_SPEED, HV, MIN_GAP, RV, STOP_SPEED,
-                  VEHICLE_LENGTH, VehicleState, advance_vehicle,
+from .idm import (B_EMERGENCY, DESIRED_SPEED, HV, MIN_GAP, NO_LEADER_GAP, RV,
+                  STOP_SPEED, VEHICLE_LENGTH, VehicleState, advance_vehicle,
                   idm_acceleration)
 from .netmodel import (Network, Movement, SIGNALIZED, UNSIGNALIZED,
                        boundary_side)
@@ -210,12 +212,12 @@ class Simulation:
         # The ids of the non-empty lanes, sorted: HV gap-acceptance claims
         # and collision events follow lane id order.
         self.occupied_lanes: list[str] = []
-        self.zone_occupancy: dict[str, dict[str, str]] = {
+        # Intersection id -> {id: zone movement} of the vehicles in its
+        # conflict zone; each such vehicle's `zone` is that movement.
+        self.zone_occupancy: dict[str, dict[str, Movement]] = {
             i.id: {} for i in net.intersections}
         self._zones = [(i.conflict_zone_id, self.zone_occupancy[i.id])
                        for i in net.intersections]
-        self.zone_of: dict[str, tuple[str, str]] = {}
-        self.next_move: dict[str, Movement | None] = {}
         self.pending: dict[str, _Pending] = {}
         # Every collided pair. Ids are never reused in a rollout, so a
         # removed vehicle's pairs stay: they cannot recur.
@@ -281,16 +283,19 @@ class Simulation:
         return self.step_count * self.config.dt
 
     def zone_entry_lanes(self, intersection_id: str) -> set[str]:
-        return {self.net.movement_by_id[mid].from_lane
-                for mid in self.zone_occupancy[intersection_id].values()}
+        return {m.from_lane
+                for m in self.zone_occupancy[intersection_id].values()}
+
+    def _zone_occupants(self, movement: Movement) -> dict[str, Movement]:
+        """The occupancy of the conflict zone that `movement` crosses."""
+        return self.zone_occupancy[self._lanes[movement.from_lane].intersection]
 
     def controlled(self, vid: str) -> bool:
         """Whether the Stop/Go policy drives the vehicle: a healthy RV whose
         front is within CONTROL_ZONE of the stop line of an unsignalized
         intersection it will cross."""
         v = self.vehicles[vid]
-        if v.kind != RV or v.collided_at is not None \
-                or self.next_move[vid] is None:
+        if v.kind != RV or v.collided_at is not None or v.next_move is None:
             return False
         lane = self._lanes[v.lane]
         return (lane.control == UNSIGNALIZED and
@@ -340,7 +345,7 @@ class Simulation:
                 if tail is None:
                     insort(self.occupied_lanes, origin)
                 self.lane_vehicles[origin].append(v)
-                self.next_move[v.id] = self._movement_after(v)
+                v.next_move = self._movement_after(v)
                 self.spawned += 1
                 if kind == RV:
                     self.rv_spawned += 1
@@ -416,8 +421,8 @@ class Simulation:
 
     def _zone_conflict_occupied(self, iid: str, movement: Movement) -> bool:
         conflicts = self.net.conflict_sets[movement.id]
-        for mid in self.zone_occupancy[iid].values():
-            if mid in conflicts:
+        for m in self.zone_occupancy[iid].values():
+            if m.id in conflicts:
                 return True
         return False
 
@@ -441,7 +446,7 @@ class Simulation:
             w = self._front_before_line(lane_id)
             if w is None or w.collided_at is not None or w.speed < STOP_SPEED:
                 continue
-            w_move = self.next_move[w.id]
+            w_move = w.next_move
             if w_move is not None and w_move.id in conflicts:
                 yield w, self._lanes[lane_id].stop_line - w.position
 
@@ -470,7 +475,6 @@ class Simulation:
         accel: dict[str, float] = {}
         claims: dict[str, list[str]] = {}
         permitted = self.permitted
-        next_move = self.next_move
         lane_vehicles = self.lane_vehicles
         # Read the IDM law at call time, so that a wrapper set on the
         # module global sees every call.
@@ -484,7 +488,7 @@ class Simulation:
                     accel[v.id] = 0.0
                     lead = v
                     continue
-                movement = next_move[v.id]
+                movement = v.next_move
                 # Real leader: same lane, else the tail of the next route lane.
                 if lead is not None:
                     gap = lead.position - lead.length - v.position
@@ -494,7 +498,7 @@ class Simulation:
                     gap = (length - v.position) + tail.position - tail.length
                     dv = v.speed - tail.speed
                 else:
-                    gap, dv = math.inf, 0.0
+                    gap, dv = NO_LEADER_GAP, 0.0
                 lead = v
                 a = idm(v.speed, dv, gap if gap > 1e-3 else 1e-3, v0)
 
@@ -543,18 +547,18 @@ class Simulation:
                 continue
             advance(v, accel[vid], dt)
             if v.position > lanes[v.lane].length:
-                if self.next_move[vid] is None:
+                if v.next_move is None:
                     arrived.append(vid)
                 else:
                     handed_off.append(v)
         for v in handed_off:
             self._leave_lane(v)
             v.position -= self._lanes[v.lane].length
-            v.lane = self.next_move[v.id].to_lane
+            v.lane = v.next_move.to_lane
             v.route_index += 1
             v.waiting_time = 0.0
             v.current_action = None
-            self.next_move[v.id] = self._movement_after(v)
+            v.next_move = self._movement_after(v)
             vehicles = self.lane_vehicles[v.lane]
             if not vehicles:
                 insort(self.occupied_lanes, v.lane)
@@ -571,27 +575,20 @@ class Simulation:
         """Enter and clear conflict zones; returns the ids whose passage
         completed with a decision pending."""
         passed = []
-        zone_of, lanes = self.zone_of, self._lanes
+        lanes = self._lanes
         for vid, v in self.vehicles.items():
-            zone = zone_of.get(vid)
+            zone = v.zone
             if zone is None:
                 lane = lanes[v.lane]
-                if lane.stop_line is not None and v.position > lane.stop_line:
-                    movement = self.next_move[vid]
-                    if movement is not None:
-                        iid = lane.intersection
-                        self.zone_occupancy[iid][vid] = movement.id
-                        zone_of[vid] = (iid, movement.id)
-            else:
-                iid, mid = zone
-                movement = self.net.movement_by_id[mid]
-                cleared = (v.lane == movement.to_lane
-                           and v.position >= v.length)
-                if cleared:
-                    del self.zone_occupancy[iid][vid]
-                    del zone_of[vid]
-                    if vid in self.pending:
-                        passed.append(vid)
+                if lane.stop_line is not None and v.position > lane.stop_line \
+                        and v.next_move is not None:
+                    v.zone = v.next_move
+                    self.zone_occupancy[lane.intersection][vid] = v.zone
+            elif v.lane == zone.to_lane and v.position >= v.length:
+                del self._zone_occupants(zone)[vid]
+                v.zone = None
+                if vid in self.pending:
+                    passed.append(vid)
         return passed
 
     def _record_collision(self, t, kind, v1, v2, location):
@@ -627,17 +624,15 @@ class Simulation:
                 for j in range(i + 1, len(entries)):
                     vid1, m1 = entries[i]
                     vid2, m2 = entries[j]
-                    if self.net.conflicts(m1, m2):
+                    if self.net.conflicts(m1.id, m2.id):
                         self._record_collision(
                             t, CROSSING, self.vehicles[vid1],
                             self.vehicles[vid2], zone_id)
 
     def _remove_vehicle(self, vid: str):
         v = self.vehicles.pop(vid)
-        zone = self.zone_of.pop(vid, None)
-        if zone is not None:
-            self.zone_occupancy[zone[0]].pop(vid, None)
-        self.next_move.pop(vid, None)
+        if v.zone is not None:
+            del self._zone_occupants(v.zone)[vid]
         self._leave_lane(v)
         return v
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .netmodel import Movement
+
 HV = "HV"
 RV = "RV"
 
@@ -41,13 +43,13 @@ def idm_acceleration(speed: float, approach_rate: float, gap: float,
     """IDM acceleration a*[1 - (v/v0)^4 - (s*/s)^2].
 
     speed: current speed (>= 0). approach_rate: own speed minus leader
-    speed. gap: bumper-to-bumper distance (> 0; math.inf when no leader).
-    Result is clamped to [-B_EMERGENCY, MAX_ACCEL]. With gap = inf the
-    interaction term is exactly 0, so free-flow equilibrium at v0 returns
+    speed. gap: bumper-to-bumper distance (> 0; NO_LEADER_GAP when no
+    leader). Result is clamped to [-B_EMERGENCY, MAX_ACCEL]. With no leader
+    the interaction term is exactly 0, so free-flow equilibrium at v0 returns
     exactly 0 and a standing start returns exactly MAX_ACCEL.
     """
     free = (speed / desired_speed) ** 4.0
-    if gap == math.inf:
+    if gap == NO_LEADER_GAP:
         interaction = 0.0
     elif gap <= 0.0:
         raise ValueError(f"gap must be > 0, got {gap!r}")
@@ -85,6 +87,8 @@ class VehicleState:
     waiting_time: float = 0.0
     current_action: int | None = None   # last Stop/Go decision on this lane
     collided_at: float | None = None    # set when involved in a collision
+    next_move: Movement | None = None   # out of this lane; None on the last
+    zone: Movement | None = None        # whose conflict zone it occupies
 
 
 def advance_vehicle(vehicle: VehicleState, accel: float, dt: float) -> None:

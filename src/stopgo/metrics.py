@@ -159,12 +159,12 @@ def run_sweep(spec: ExperimentSpec, policy,
     results: list[ResultRow] = []
     for cell_index, label, rate, demand in spec.cells():
         net = networks[label]
+        schedule = DemandSchedule(total_vehicles=demand,
+                                  horizon=spec.duration,
+                                  rv_penetration=rate,
+                                  axis_bias=spec.axis_bias)
         for k in range(spec.rollouts):
             seed = spec.base_seed + cell_index * spec.rollouts + k
-            schedule = DemandSchedule(total_vehicles=demand,
-                                      horizon=spec.duration,
-                                      rv_penetration=rate,
-                                      axis_bias=spec.axis_bias)
             _, summary = run_rollout(net, schedule, policy, seed,
                                      spec.duration, engine_config,
                                      log_decisions=False)

@@ -310,11 +310,8 @@ def parse_network(text: str) -> Network:
             raise ParseError(f"[{section}] missing required key {key!r}", lineno)
         return fields[key][0]
 
-    def fnum(fields, key, section, lineno, default=None):
-        if key not in fields:
-            if default is not None:
-                return default
-            raise ParseError(f"[{section}] missing required key {key!r}", lineno)
+    def fnum(fields, key, section, lineno):
+        need(fields, key, section, lineno)
         value, vline = fields[key]
         try:
             return float(value)
@@ -524,7 +521,7 @@ def generate_grid(num_unsignalized: int, num_signalized: int,
         return r * cols + c
 
     def exists(r, c):
-        return 0 <= r < rows and 0 <= c < cols and cell_index(r, c) < total
+        return 0 <= r < rows and 0 <= c < cols
 
     def node(r, c):
         return f"J{cell_index(r, c)}"
@@ -667,14 +664,6 @@ def _chain_to(tree: dict[str, tuple[str | None, int]],
     while tree[chain[-1]][0] is not None:
         chain.append(tree[chain[-1]][0])
     return tuple(reversed(chain))
-
-
-def shortest_lane_path(net: Network, origin: str,
-                       dest: str) -> tuple[str, ...] | None:
-    """BFS shortest lane chain from origin lane to dest lane, deterministic
-    tie-breaking by lane id; None when dest is unreachable."""
-    tree = _lane_tree(net, origin)
-    return _chain_to(tree, dest) if dest in tree else None
 
 
 def boundary_side(lane_id: str) -> str | None:

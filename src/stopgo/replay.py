@@ -6,10 +6,11 @@ returned normalized by the batch maximum. Priorities are |loss| + floor,
 with the exponent applied at store time.
 
 Storage is one NumPy array per field (obs, action, reward, next_obs,
-terminal), used as a ring of `capacity` rows. The arrays double in length
-as rows arrive, up to `capacity`, so a buffer that holds few transitions
-costs little memory. The sum tree is built at the first insert, for the
-same reason. A sample gathers its rows into a `Batch` of arrays.
+terminal), used as a ring of `capacity` rows. The arrays and the sum tree
+are allocated at full capacity on the first insert, once the observation
+length is known; pages no row has been written to are never resident, so
+a buffer that holds few transitions costs little memory. A sample gathers
+its rows into a `Batch` of arrays.
 
 The tree keeps its nodes in a Python list of floats: a batch touches 32
 leaf-to-root paths, too few for NumPy's per-call overhead to pay, and

@@ -12,10 +12,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .agent import check_policy_fits, observation_length
+from .agent import check_policy_fits, observation_dim
 from .engine import (AlwaysGoPolicy, DemandSchedule, EngineConfig,
                      RandomPolicy, Simulation, require_finite)
-from .netmodel import Network, UNSIGNALIZED
+from .netmodel import Network
 from .rainbow import Learner, LearnerConfig, load_policy
 
 CHECKPOINT_FILE = "checkpoint.npz"
@@ -54,18 +54,6 @@ class TrainingPolicy:
 
     def decide(self, obs, rng) -> int:
         return self.learner.act(obs)
-
-
-def observation_dim(net: Network) -> int:
-    """Shared observation length across unsignalized intersections."""
-    sizes = {observation_length(net, i.id)
-             for i in net.intersections if i.control == UNSIGNALIZED}
-    if not sizes:
-        raise ValueError("network has no unsignalized intersections to train on")
-    if len(sizes) > 1:
-        raise ValueError(
-            f"unsignalized intersections disagree on lane count: {sorted(sizes)}")
-    return sizes.pop()
 
 
 def train(net: Network, episodes: int, seed: int, checkpoint_dir,

@@ -114,6 +114,20 @@ def test_no_negative_gaps_among_healthy_vehicles(grid, demand, horizon, seed,
                 if lead.collided_at is not None or follow.collided_at is not None:
                     continue
                 assert lead.position - lead.length - follow.position >= -1e-9
+        # Each vehicle's record holds its next movement and its zone.
+        zones = {i.id: {} for i in net.intersections}
+        for vid, v in sim.vehicles.items():
+            chain = net.route_by_id[v.route_id].lane_chain
+            assert chain[v.route_index] == v.lane
+            if v.route_index + 1 < len(chain):
+                assert v.next_move == net.movement_by_lanes[
+                    (v.lane, chain[v.route_index + 1])]
+            else:
+                assert v.next_move is None
+            if v.zone is not None:
+                iid = net.lane_by_id[v.zone.from_lane].downstream_intersection
+                zones[iid][vid] = v.zone
+        assert sim.zone_occupancy == zones
 
 
 def test_collided_vehicles_freeze_then_leave(net_1u):
@@ -215,7 +229,7 @@ def test_red_signal_holds_vehicles_at_the_line(net_1s, all_red):
             line = lane.length - config.zone_length
             was = previous.get((vid, v.lane))
             if was is not None and was <= line < v.position:
-                move = sim.next_move.get(vid)
+                move = v.next_move
                 if move is not None:
                     # allow dilemma-zone crossers committed just before a
                     # phase flip; mid-red entries are never acceptable

@@ -15,7 +15,6 @@ from stopgo.netmodel import (
     parse_network,
     remove_left_turns,
     serialize_network,
-    shortest_lane_path,
     validate_network,
 )
 
@@ -190,22 +189,6 @@ def test_validate_rejects_nonpositive_length(net_1u):
 def test_normalize_pair_orders_ids():
     assert normalize_pair("b", "a") == ("a", "b")
     assert normalize_pair("a", "b") == ("a", "b")
-
-
-def test_shortest_lane_path_connects_origin_to_dest(net_grid14):
-    origin = boundary_entry_lanes(net_grid14)[0]
-    dest = boundary_exit_lanes(net_grid14)[-1]
-    path = shortest_lane_path(net_grid14, origin, dest)
-    assert path is not None
-    assert path[0] == origin and path[-1] == dest
-    for u, v in zip(path, path[1:]):
-        assert (u, v) in net_grid14.movement_by_lanes
-
-
-def test_shortest_lane_path_unreachable_returns_none(net_1u):
-    entry = boundary_entry_lanes(net_1u)[0]
-    other_entry = boundary_entry_lanes(net_1u)[1]
-    assert shortest_lane_path(net_1u, entry, other_entry) is None
 
 
 def test_remove_left_turns_drops_lefts_and_keeps_routes(net_grid14):
