@@ -452,6 +452,34 @@ def test_sweep_rejects_a_checkpoint_of_another_observation_length(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fault", ["truncated", "text"])
+@pytest.mark.parametrize("command", ["simulate", "train"])
+def test_unreadable_checkpoint_fails_naming_the_file(tmp_path, capsys,
+                                                     command, fault):
+    net = _netgen(tmp_path)
+    ckpt_dir = tmp_path / "ck"
+    ckpt_dir.mkdir()
+    path = ckpt_dir / "checkpoint.npz"
+    if fault == "truncated":
+        whole = _checkpoint(tmp_path, 12).read_bytes()
+        path.write_bytes(whole[:len(whole) // 2])
+    else:
+        path.write_text("not a checkpoint\n")
+    if command == "simulate":
+        argv = ["simulate", "--network", str(net), "--demand", "10",
+                "--policy", str(path)]
+    else:
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(FAST_TRAIN_CFG)
+        argv = ["train", "--network", str(net), "--checkpoint", str(ckpt_dir),
+                "--config", str(cfg), "--quiet", "--resume"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{path} is not a readable checkpoint" in err
+    assert "Traceback" not in err
+    assert not (ckpt_dir / "training_curve.csv").exists()
+
+
 @pytest.mark.parametrize("obs_dim", [9, 12])
 def test_checkpoint_runs_on_a_network_without_unsignalized_junctions(
         tmp_path, obs_dim):

@@ -1,4 +1,5 @@
 import json
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -158,8 +159,8 @@ def test_double_q_target_terminal_rows_collapse_to_reward(rng):
     assert got[0] == pytest.approx([0.0, 0.0, 1.0, 0.0, 0.0])
 
 
-def _filled_learner(seed=0):
-    learner = Learner(obs_dim=6, config=TINY, seed=seed)
+def _filled_learner(seed=0, config=TINY):
+    learner = Learner(obs_dim=6, config=config, seed=seed)
     rng = np.random.default_rng(99)
     for _ in range(40):
         obs = rng.uniform(0, 5, size=6)
@@ -271,22 +272,86 @@ def test_momentum_velocity_round_trips_and_zero_arrays_still_load(tmp_path):
 
 
 def test_snapshot_and_load_policy_decide_greedily(tmp_path):
-    learner = _filled_learner(seed=5)
+    learner = _filled_learner(seed=5, config=replace(TINY, momentum=0.9))
+    learner.train_step()
     path = tmp_path / "ck.npz"
     learner.save(path)
-    snap = load_policy(path)
-    assert isinstance(snap, PolicySnapshot)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
     obs = np.array([1.0, 12.0, 0.0, 3.0, 40.0, 1.0])
     q = q_values_batch(learner.params,
                        (obs / learner.obs_scale)[None, :],
                        learner.config.support)[0]
-    assert snap.decide(obs) == int(np.argmax(q))
-    assert snap.decide(obs) == learner.snapshot().decide(obs)
-    for key, value in learner.params.items():
-        assert np.array_equal(snap.params[key], value)
-    assert snap.params.keys() == learner.params.keys()
-    assert np.array_equal(snap.support, learner.config.support)
-    assert np.array_equal(snap.obs_scale, learner.obs_scale)
+    # The same arrays stored, as save writes them, and deflated, as earlier
+    # versions wrote them: both load alike.
+    for writer in (np.savez, np.savez_compressed):
+        writer(path, **arrays)
+        snap = load_policy(path)
+        assert isinstance(snap, PolicySnapshot)
+        assert snap.decide(obs) == int(np.argmax(q))
+        assert snap.decide(obs) == learner.snapshot().decide(obs)
+        for key, value in learner.params.items():
+            assert np.array_equal(snap.params[key], value)
+        assert snap.params.keys() == learner.params.keys()
+        assert np.array_equal(snap.support, learner.config.support)
+        assert np.array_equal(snap.obs_scale, learner.obs_scale)
+        clone = Learner.load(path)
+        assert clone.config == learner.config
+        assert (clone.train_steps, clone.episodes_done) == \
+            (learner.train_steps, learner.episodes_done)
+        assert clone.rng.bit_generator.state == learner.rng.bit_generator.state
+        for mine, theirs in ((clone.params, learner.params),
+                             (clone.target_params, learner.target_params),
+                             (clone.velocity, learner.velocity)):
+            assert mine.keys() == theirs.keys()
+            assert all(np.array_equal(mine[k], theirs[k]) for k in theirs)
+        assert np.array_equal(clone.obs_scale, learner.obs_scale)
+
+
+def test_checkpoint_entries_are_stored_uncompressed(tmp_path):
+    path = tmp_path / "ck.npz"
+    Learner(6, replace(TINY, momentum=0.9), seed=1).save(path)
+    with zipfile.ZipFile(path) as archive:
+        entries = archive.infolist()
+    assert {e.filename for e in entries} >= {"meta_json.npy", "obs_scale.npy"}
+    assert all(e.compress_type == zipfile.ZIP_STORED for e in entries)
+
+
+def _spoil(path, fault):
+    """Damage a saved checkpoint the way an interrupted copy or a wrong
+    file would."""
+    whole = path.read_bytes()
+    if fault == "truncated":
+        path.write_bytes(whole[:len(whole) // 2])
+    elif fault == "empty":
+        path.write_bytes(b"")
+    elif fault == "text":
+        path.write_text("not a checkpoint\n")
+    elif fault == "bad_crc":
+        # The zip directory stays whole; one weight's bytes change, which
+        # zipfile finds only when that entry is read.
+        with np.load(path) as data:
+            weights = data["online/Wa"].tobytes()
+        at = whole.index(weights) + len(weights) // 2
+        path.write_bytes(whole[:at] + bytes([whole[at] ^ 0xFF])
+                         + whole[at + 1:])
+    elif fault == "no_meta":
+        with np.load(path) as data:
+            np.savez(path, **{k: data[k] for k in data.files
+                              if k != "meta_json"})
+
+
+@pytest.mark.parametrize("fault",
+                         ["truncated", "empty", "text", "bad_crc", "no_meta"])
+@pytest.mark.parametrize("load", [load_policy, Learner.load],
+                         ids=["load_policy", "Learner.load"])
+def test_unreadable_checkpoint_fails_naming_the_file(tmp_path, load, fault):
+    path = tmp_path / "ck.npz"
+    Learner(6, TINY, seed=1).save(path)
+    _spoil(path, fault)
+    with pytest.raises(ValueError, match="is not a readable checkpoint") as info:
+        load(path)
+    assert str(path) in str(info.value)
 
 
 @pytest.mark.parametrize("load", [load_policy, Learner.load],
