@@ -31,19 +31,34 @@ class NetSpec:
     hidden: tuple[int, ...] = (512, 512, 512)
 
 
-def init_params(spec: NetSpec, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """He-initialized trunk, small uniform heads."""
-    params: dict[str, np.ndarray] = {}
+def layout(spec: NetSpec) -> dict[str, tuple[int, ...]]:
+    """The name and shape of each parameter, in the order init_params
+    draws them: the trunk's weights and biases, then the value and
+    advantage heads."""
+    shapes: dict[str, tuple[int, ...]] = {}
     fan_in = spec.obs_dim
     for i, width in enumerate(spec.hidden):
-        params[f"W{i}"] = rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_in, width))
-        params[f"b{i}"] = np.zeros(width)
+        shapes[f"W{i}"] = (fan_in, width)
+        shapes[f"b{i}"] = (width,)
         fan_in = width
-    bound = 1.0 / np.sqrt(fan_in)
-    params["Wv"] = rng.uniform(-bound, bound, (fan_in, spec.atoms))
-    params["bv"] = np.zeros(spec.atoms)
-    params["Wa"] = rng.uniform(-bound, bound, (fan_in, spec.actions * spec.atoms))
-    params["ba"] = np.zeros(spec.actions * spec.atoms)
+    shapes["Wv"] = (fan_in, spec.atoms)
+    shapes["bv"] = (spec.atoms,)
+    shapes["Wa"] = (fan_in, spec.actions * spec.atoms)
+    shapes["ba"] = (spec.actions * spec.atoms,)
+    return shapes
+
+
+def init_params(spec: NetSpec, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """He-initialized trunk, small uniform heads, zero biases."""
+    params: dict[str, np.ndarray] = {}
+    for name, shape in layout(spec).items():
+        if name.startswith("b"):
+            params[name] = np.zeros(shape)
+        elif name in ("Wv", "Wa"):
+            bound = 1.0 / np.sqrt(shape[0])
+            params[name] = rng.uniform(-bound, bound, shape)
+        else:
+            params[name] = rng.normal(0.0, np.sqrt(2.0 / shape[0]), shape)
     return params
 
 
@@ -79,30 +94,11 @@ def forward_batch(params: dict[str, np.ndarray], x: np.ndarray):
     return dist, {"activations": activations, "log_dist": log_dist, "dist": dist}
 
 
-def forward(params: dict[str, np.ndarray], obs: np.ndarray) -> np.ndarray:
-    """Per-action categorical distribution over atoms for one observation."""
-    dist, _ = forward_batch(params, np.asarray(obs, dtype=np.float64)[None, :])
-    return dist[0]
-
-
-def q_values(params: dict[str, np.ndarray], obs: np.ndarray,
-             support: np.ndarray) -> np.ndarray:
-    """Expected value of each action's distribution over the atom support."""
-    return forward(params, obs) @ support
-
-
 def q_values_batch(params, x, support):
+    """Expected value of each action's distribution over the atom
+    support, [B, A]."""
     dist, _ = forward_batch(params, x)
     return dist @ support
-
-
-def select_action(params, obs, support, epsilon: float,
-                  rng: np.random.Generator) -> int:
-    """Epsilon-greedy over q_values; exact ties resolve to Go (index 0)
-    because argmax returns the first maximum."""
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(2))
-    return int(np.argmax(q_values(params, obs, support)))
 
 
 def loss_and_grads(params, x: np.ndarray, actions: np.ndarray,

@@ -9,6 +9,7 @@ decentralized because each RV feeds only its own observation.
 
 from __future__ import annotations
 
+import inspect
 import json
 import zipfile
 import zlib
@@ -25,48 +26,51 @@ from .replay import ReplayBuffer, Transition
 
 CHECKPOINT_VERSION = 1
 
+# Learner constants. The replay buffer's capacity, priority exponent and
+# priority floor, and the gradient-norm clip, are the defaults of
+# ReplayBuffer and qnet.sgd_step.
+GAMMA = 0.99
+LEARNING_RATE = 5e-4
+# The support bounds cover the reward range |alpha * d_max| + beta_penalty.
+V_MIN = -60.0
+V_MAX = 60.0
+TARGET_SYNC = 500             # learner steps between target-network copies
+EPS_START = 1.0
+EPS_END = 0.05
+EPS_FRACTION = 1.0 / 3.0      # fraction of episodes spent annealing epsilon
+BETA_START = 0.4
+BETA_END = 1.0
+
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    gamma: float = 0.99
-    learning_rate: float = 5e-4
     batch_size: int = 32
     atoms: int = 51
-    # Support bounds cover the reward range |alpha * d_max| + beta_penalty.
-    v_min: float = -60.0
-    v_max: float = 60.0
     hidden: tuple[int, ...] = (512, 512, 512)
-    target_sync: int = 500
-    eps_start: float = 1.0
-    eps_end: float = 0.05
-    eps_fraction: float = 1.0 / 3.0   # fraction of episodes spent annealing
-    buffer_capacity: int = 50_000
-    alpha_per: float = 0.5
-    beta_start: float = 0.4
-    beta_end: float = 1.0
-    priority_floor: float = 1e-3
     momentum: float = 0.0
-    grad_clip: float = 10.0
     warmup: int = 500
     episodes: int = 200
 
     def __post_init__(self):
         require_finite(self)
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must be in (0, 1)")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        for name in ("batch_size", "atoms", "target_sync"):
+        for name in ("batch_size", "atoms"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not self.hidden or min(self.hidden) < 1:
             raise ValueError("hidden must be one or more widths >= 1")
-        if self.v_min >= self.v_max:
-            raise ValueError("v_min must be < v_max")
+
+    @property
+    def gamma(self) -> float:
+        """The fixed discount, still readable where a config is at hand."""
+        return GAMMA
 
     @property
     def support(self) -> np.ndarray:
-        return np.linspace(self.v_min, self.v_max, self.atoms)
+        return np.linspace(V_MIN, V_MAX, self.atoms)
+
+    def net_spec(self, obs_dim: int) -> NetSpec:
+        return NetSpec(obs_dim=obs_dim, actions=2, atoms=self.atoms,
+                       hidden=tuple(self.hidden))
 
 
 def categorical_projection(values: np.ndarray, masses: np.ndarray,
@@ -117,7 +121,7 @@ def double_q_target(online_params, target_params, rewards: np.ndarray,
     dist_next, _ = qnet.forward_batch(target_params, next_obs)
     chosen = dist_next[np.arange(len(a_star)), a_star]
     keep = 1.0 - terminals.astype(np.float64)
-    values = rewards[:, None] + config.gamma * support[None, :] * keep[:, None]
+    values = rewards[:, None] + GAMMA * support[None, :] * keep[:, None]
     return categorical_projection(values, chosen, support)
 
 
@@ -129,14 +133,11 @@ class Learner:
         self.config = config
         self.obs_dim = obs_dim
         self.rng = np.random.default_rng(seed)
-        spec = NetSpec(obs_dim=obs_dim, actions=2, atoms=config.atoms,
-                       hidden=tuple(config.hidden))
-        self.params = qnet.init_params(spec, self.rng)
+        self.params = qnet.init_params(config.net_spec(obs_dim), self.rng)
         self.target_params = {k: v.copy() for k, v in self.params.items()}
         # Momentum buffers, created by the first momentum step.
         self.velocity: dict[str, np.ndarray] = {}
-        self.buffer = ReplayBuffer(config.buffer_capacity, config.alpha_per,
-                                   config.priority_floor)
+        self.buffer = ReplayBuffer()
         self.obs_scale = default_obs_scale(obs_dim)
         self.train_steps = 0
         self.episodes_done = 0
@@ -145,20 +146,22 @@ class Learner:
         return np.asarray(obs, dtype=np.float64) / self.obs_scale
 
     def epsilon(self) -> float:
-        horizon = max(1.0, self.config.episodes * self.config.eps_fraction)
+        horizon = max(1.0, self.config.episodes * EPS_FRACTION)
         frac = min(1.0, self.episodes_done / horizon)
-        return self.config.eps_start + frac * (self.config.eps_end
-                                               - self.config.eps_start)
+        return EPS_START + frac * (EPS_END - EPS_START)
 
     def beta_is(self) -> float:
         frac = min(1.0, self.episodes_done / max(1, self.config.episodes))
-        return self.config.beta_start + frac * (self.config.beta_end
-                                                - self.config.beta_start)
+        return BETA_START + frac * (BETA_END - BETA_START)
 
-    def act(self, obs: np.ndarray, epsilon: float | None = None) -> int:
-        eps = self.epsilon() if epsilon is None else epsilon
-        return qnet.select_action(self.params, self.scale(obs),
-                                  self.config.support, eps, self.rng)
+    def act(self, obs: np.ndarray) -> int:
+        """Epsilon-greedy: a uniform random action with probability
+        epsilon, else the greedy one."""
+        eps = self.epsilon()
+        if eps > 0.0 and self.rng.random() < eps:
+            return int(self.rng.integers(2))
+        return _greedy(self.params, self.scale(obs)[None, :],
+                       self.config.support)[0]
 
     def store(self, obs, action, reward, next_obs, terminal) -> None:
         self.buffer.insert(Transition(
@@ -184,11 +187,11 @@ class Learner:
                                   batch.terminal, cfg)
         per_sample, grads = qnet.loss_and_grads(
             self.params, self.scale(batch.obs), batch.action, targets, weights)
-        qnet.sgd_step(self.params, grads, cfg.learning_rate, cfg.grad_clip,
-                      cfg.momentum, self.velocity)
+        qnet.sgd_step(self.params, grads, LEARNING_RATE,
+                      momentum=cfg.momentum, velocity=self.velocity)
         self.buffer.update_priorities(indices, per_sample)
         self.train_steps += 1
-        if self.train_steps % cfg.target_sync == 0:
+        if self.train_steps % TARGET_SYNC == 0:
             self.target_params = {k: v.copy() for k, v in self.params.items()}
         return float(per_sample.mean())
 
@@ -219,12 +222,13 @@ class Learner:
         """Restore parameters, counters, and RNG state from a checkpoint,
         stored or, as older versions wrote it, deflated. The replay buffer
         is not saved: the loaded learner starts with an empty one."""
-        with _open_checkpoint(path) as (data, meta, config):
+        with _open_checkpoint(path, "online", "target", "velocity") as (
+                meta, config, obs_scale, params, target, velocity):
             learner = cls(meta["obs_dim"], config, seed=0)
-            learner.params = _arrays(data, "online/")
-            learner.target_params = _arrays(data, "target/")
-            learner.velocity = _arrays(data, "velocity/")
-            learner.obs_scale = data["obs_scale"]
+            learner.params = params
+            learner.target_params = target
+            learner.velocity = velocity
+            learner.obs_scale = obs_scale
             learner.train_steps = meta["train_steps"]
             learner.episodes_done = meta["episodes_done"]
             learner.rng.bit_generator.state = meta["rng_state"]
@@ -250,37 +254,74 @@ class PolicySnapshot:
         return len(self.obs_scale)
 
     def decide(self, obs: np.ndarray, rng=None) -> int:
-        scaled = np.asarray(obs, dtype=np.float64) / self.obs_scale
-        return int(np.argmax(qnet.q_values(self.params, scaled, self.support)))
+        return self.decide_batch([obs])[0]
 
     def decide_batch(self, observations) -> list[int]:
         scaled = np.stack(observations) / self.obs_scale
-        q = qnet.q_values_batch(self.params, scaled, self.support)
-        return np.argmax(q, axis=1).tolist()
+        return _greedy(self.params, scaled, self.support)
 
 
-# What np.load and zipfile raise on a file that is not a whole checkpoint:
-# not a zip, truncated, a failed CRC, a damaged entry header, a missing key
-# or another version.
-_UNREADABLE = (OSError, EOFError, ValueError, KeyError, NotImplementedError,
-               RuntimeError, zipfile.BadZipFile, zlib.error)
+def _greedy(params, scaled: np.ndarray, support: np.ndarray) -> list[int]:
+    """The greedy action of each scaled observation row. Exact ties go to
+    Go (index 0), because argmax returns the first maximum."""
+    q = qnet.q_values_batch(params, scaled, support)
+    return np.argmax(q, axis=1).tolist()
+
+
+def _default(function, name: str):
+    return inspect.signature(function).parameters[name].default
+
+
+# The settings that checkpoints written before they became constants store
+# in their config, and the value each is fixed at now.
+_RETIRED = {
+    "gamma": GAMMA, "learning_rate": LEARNING_RATE,
+    "v_min": V_MIN, "v_max": V_MAX, "target_sync": TARGET_SYNC,
+    "eps_start": EPS_START, "eps_end": EPS_END, "eps_fraction": EPS_FRACTION,
+    "buffer_capacity": _default(ReplayBuffer, "capacity"),
+    "alpha_per": _default(ReplayBuffer, "alpha_per"),
+    "beta_start": BETA_START, "beta_end": BETA_END,
+    "priority_floor": _default(ReplayBuffer, "priority_floor"),
+    "grad_clip": _default(qnet.sgd_step, "clip_norm"),
+}
+
+# What np.load, zipfile and the checks below raise on a file that is not a
+# whole checkpoint: not a zip, truncated, a failed CRC, a damaged entry
+# header, a missing or unexpected key, another version or arrays that do
+# not fit the network.
+_UNREADABLE = (OSError, EOFError, ValueError, KeyError, TypeError,
+               NotImplementedError, RuntimeError, zipfile.BadZipFile,
+               zlib.error)
 
 
 @contextmanager
-def _open_checkpoint(path):
-    """An open checkpoint, stored or deflated, with its metadata and learner
-    config, after checking its version. The arrays are read from the file
-    only when indexed, and zipfile checks each entry's CRC as it is read, so
-    a fault met anywhere in the with-block becomes a ValueError that names
-    the file."""
+def _open_checkpoint(path, *groups: str):
+    """A checkpoint, stored or deflated, as its metadata, learner config,
+    observation scale and then each parameter group named ("online",
+    "target", "velocity") as a dict of arrays. The version, the config
+    and every array read are checked against the network the config
+    describes. zipfile checks each entry's CRC as it is read, so a fault
+    met anywhere in the with-block becomes a ValueError naming the file."""
     try:
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
             if meta["version"] != CHECKPOINT_VERSION:
                 raise ValueError(
                     f"unsupported checkpoint version {meta['version']}")
-            cfg = dict(meta["config"], hidden=tuple(meta["config"]["hidden"]))
-            yield data, meta, LearnerConfig(**cfg)
+            config = _stored_config(meta["config"])
+            obs_dim = meta["obs_dim"]
+            obs_scale = data["obs_scale"]
+            if obs_scale.shape != (obs_dim,):
+                raise ValueError(f"obs_scale has shape {obs_scale.shape}, "
+                                 f"the network reads {obs_dim} values")
+            layout = qnet.layout(config.net_spec(obs_dim))
+            arrays = []
+            for group in groups:
+                arrays.append(_arrays(data, group + "/"))
+                # Momentum velocity exists only for the parameters stepped.
+                _check_layout(group, arrays[-1], layout,
+                              whole=group != "velocity")
+            yield (meta, config, obs_scale, *arrays)
     except FileNotFoundError:
         raise
     except _UNREADABLE as error:
@@ -288,13 +329,42 @@ def _open_checkpoint(path):
             f"{path} is not a readable checkpoint: {error}") from error
 
 
+def _stored_config(stored: dict) -> LearnerConfig:
+    """The LearnerConfig in a checkpoint's metadata. A checkpoint written
+    before the retired settings became constants stores them as well; it
+    loads only where each holds the value now fixed, since a policy
+    trained with another support or discount would decide differently."""
+    fields = dict(stored)
+    for key, fixed in _RETIRED.items():
+        value = fields.pop(key, fixed)
+        if value != fixed:
+            raise ValueError(f"it was trained with {key} = {value}, "
+                             f"which is now fixed at {fixed}")
+    return LearnerConfig(**dict(fields, hidden=tuple(fields["hidden"])))
+
+
 def _arrays(data, prefix: str) -> dict[str, np.ndarray]:
     return {k[len(prefix):]: data[k] for k in data.files if k.startswith(prefix)}
+
+
+def _check_layout(group: str, arrays: dict, layout: dict,
+                  whole: bool) -> None:
+    """Each array must have a parameter's name and shape; a whole group
+    must hold every parameter."""
+    for name, array in arrays.items():
+        if name not in layout:
+            raise ValueError(f"{group}/{name} is not a parameter of the "
+                             "network")
+        if array.shape != layout[name]:
+            raise ValueError(f"{group}/{name} has shape {array.shape}, the "
+                             f"network's is {layout[name]}")
+    missing = [name for name in layout if name not in arrays]
+    if whole and missing:
+        raise ValueError(f"{group}/{missing[0]} is missing")
 
 
 def load_policy(path) -> PolicySnapshot:
     """The greedy policy of a saved Learner: reads only the online
     parameters, the observation scale and the atom support."""
-    with _open_checkpoint(path) as (data, _, config):
-        return PolicySnapshot(_arrays(data, "online/"), config.support,
-                              data["obs_scale"])
+    with _open_checkpoint(path, "online") as (_, config, obs_scale, params):
+        return PolicySnapshot(params, config.support, obs_scale)

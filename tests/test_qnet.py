@@ -4,14 +4,12 @@ import pytest
 from stopgo.qnet import (
     NetSpec,
     dueling_aggregate,
-    forward,
     forward_batch,
     global_grad_norm,
     init_params,
+    layout,
     loss_and_grads,
-    q_values,
     q_values_batch,
-    select_action,
     sgd_step,
 )
 
@@ -29,6 +27,8 @@ def test_init_shapes_and_spec_round_trip(rng):
     assert params["W1"].shape == (8, 8)
     assert params["Wv"].shape == (8, 5)
     assert params["Wa"].shape == (8, 10)
+    assert list(params) == list(layout(SMALL))
+    assert all(params[k].shape == shape for k, shape in layout(SMALL).items())
 
 
 def test_dueling_aggregate_single_atom_scalar_case():
@@ -48,7 +48,8 @@ def test_dueling_aggregate_removes_advantage_mean(rng):
 
 def test_forward_outputs_distributions(rng):
     params = init_params(SMALL, rng)
-    dist = forward(params, rng.normal(size=4))
+    dist, _ = forward_batch(params, rng.normal(size=(1, 4)))
+    dist = dist[0]
     assert dist.shape == (2, 5)
     assert np.all(dist >= 0)
     assert dist.sum(axis=1) == pytest.approx(np.ones(2))
@@ -59,7 +60,8 @@ def test_forward_matches_forward_batch_row(rng):
     x = rng.normal(size=(6, 4))
     batch, _ = forward_batch(params, x)
     for i in range(6):
-        assert forward(params, x[i]) == pytest.approx(batch[i])
+        row, _ = forward_batch(params, x[i:i + 1])
+        assert row[0] == pytest.approx(batch[i])
 
 
 def test_constant_advantage_shift_leaves_distribution_unchanged(rng):
@@ -74,33 +76,11 @@ def test_constant_advantage_shift_leaves_distribution_unchanged(rng):
 
 def test_q_values_are_expected_support(rng):
     params = init_params(SMALL, rng)
-    obs = rng.normal(size=4)
     support = np.linspace(-3.0, 3.0, 5)
-    dist = forward(params, obs)
-    assert q_values(params, obs, support) == pytest.approx(dist @ support)
     batch = rng.normal(size=(4, 4))
     dists, _ = forward_batch(params, batch)
     assert q_values_batch(params, batch, support) == pytest.approx(
         dists @ support)
-
-
-def test_select_action_greedy_and_tie_toward_go(rng):
-    params = init_params(SMALL, rng)
-    support = np.linspace(-3.0, 3.0, 5)
-    obs = rng.normal(size=4)
-    q = q_values(params, obs, support)
-    assert select_action(params, obs, support, 0.0, rng) == int(np.argmax(q))
-    # all-zero weights produce identical logits for both actions: a tie
-    zeros = {k: np.zeros_like(v) for k, v in params.items()}
-    assert select_action(zeros, obs, support, 0.0, rng) == 0
-
-
-def test_select_action_explores_at_full_epsilon(rng):
-    params = init_params(SMALL, rng)
-    support = np.linspace(-3.0, 3.0, 5)
-    obs = rng.normal(size=4)
-    picks = {select_action(params, obs, support, 1.0, rng) for _ in range(64)}
-    assert picks == {0, 1}
 
 
 def test_loss_is_cross_entropy_of_selected_action(rng):

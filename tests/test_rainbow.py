@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from stopgo.qnet import NetSpec, forward_batch, init_params, q_values_batch
 from stopgo.rainbow import (
+    BETA_END,
+    BETA_START,
     CHECKPOINT_VERSION,
+    EPS_END,
+    EPS_START,
+    GAMMA,
+    TARGET_SYNC,
     Learner,
     LearnerConfig,
     PolicySnapshot,
@@ -18,7 +24,10 @@ from stopgo.rainbow import (
 )
 
 TINY = LearnerConfig(hidden=(16,), atoms=11, batch_size=8, warmup=16,
-                     target_sync=3, buffer_capacity=64, episodes=10)
+                     episodes=10)
+
+LOADERS = pytest.mark.parametrize("load", [load_policy, Learner.load],
+                                  ids=["load_policy", "Learner.load"])
 
 
 def brute_force_projection(values, masses, support):
@@ -132,7 +141,7 @@ def test_projection_matches_brute_force(atoms, batch, seed):
 
 
 def test_double_q_target_composes_selection_and_evaluation(rng):
-    config = LearnerConfig(hidden=(8,), atoms=7, v_min=-4.0, v_max=4.0)
+    config = LearnerConfig(hidden=(8,), atoms=7)
     spec = NetSpec(obs_dim=3, atoms=7, hidden=(8,))
     online = init_params(spec, rng)
     target = init_params(spec, rng)
@@ -144,18 +153,18 @@ def test_double_q_target_composes_selection_and_evaluation(rng):
     select = np.argmax(q_values_batch(online, next_obs, support), axis=1)
     dists, _ = forward_batch(target, next_obs)
     masses = dists[np.arange(2), select]
-    values = rewards[:, None] + config.gamma * support[None, :]
+    values = rewards[:, None] + GAMMA * support[None, :]
     assert got == pytest.approx(categorical_projection(values, masses, support))
 
 
 def test_double_q_target_terminal_rows_collapse_to_reward(rng):
-    config = LearnerConfig(hidden=(8,), atoms=5, v_min=-2.0, v_max=2.0)
+    config = LearnerConfig(hidden=(8,), atoms=5)
     spec = NetSpec(obs_dim=3, atoms=5, hidden=(8,))
     online = init_params(spec, rng)
     target = init_params(spec, rng)
     got = double_q_target(online, target, np.array([0.0]),
                           rng.normal(size=(1, 3)), np.array([1.0]), config)
-    # reward 0 sits exactly on the middle atom of [-2, 2] x 5
+    # reward 0 sits exactly on the middle atom of [-60, 60] x 5
     assert got[0] == pytest.approx([0.0, 0.0, 1.0, 0.0, 0.0])
 
 
@@ -172,13 +181,13 @@ def _filled_learner(seed=0, config=TINY):
 
 def test_epsilon_and_beta_schedules():
     learner = Learner(obs_dim=6, config=TINY, seed=1)
-    assert learner.epsilon() == pytest.approx(TINY.eps_start)
-    assert learner.beta_is() == pytest.approx(TINY.beta_start)
+    assert learner.epsilon() == pytest.approx(EPS_START)
+    assert learner.beta_is() == pytest.approx(BETA_START)
     learner.episodes_done = TINY.episodes
-    assert learner.epsilon() == pytest.approx(TINY.eps_end)
-    assert learner.beta_is() == pytest.approx(TINY.beta_end)
+    assert learner.epsilon() == pytest.approx(EPS_END)
+    assert learner.beta_is() == pytest.approx(BETA_END)
     learner.episodes_done = TINY.episodes // 2
-    assert TINY.eps_end < learner.epsilon() < TINY.eps_start
+    assert EPS_END < learner.epsilon() < EPS_START
 
 
 def test_act_returns_valid_action():
@@ -186,7 +195,31 @@ def test_act_returns_valid_action():
     obs = np.arange(6.0)
     for _ in range(10):
         assert learner.act(obs) in (0, 1)
-    assert learner.act(obs, epsilon=0.0) in (0, 1)
+
+
+def test_act_is_greedy_and_ties_toward_go(monkeypatch):
+    learner = _filled_learner()
+    monkeypatch.setattr(learner, "epsilon", lambda: 0.0)
+    state = learner.rng.bit_generator.state
+    obs = np.array([1.0, 12.0, 0.0, 3.0, 40.0, 1.0])
+    q = q_values_batch(learner.params, (obs / learner.obs_scale)[None, :],
+                       TINY.support)[0]
+    assert learner.act(obs) == int(np.argmax(q)) == \
+        learner.snapshot().decide(obs)
+    assert learner.rng.bit_generator.state == state  # greedy draws nothing
+    # all-zero weights produce identical logits for both actions: a tie
+    learner.params = {k: np.zeros_like(v) for k, v in learner.params.items()}
+    assert learner.act(obs) == 0
+    assert learner.snapshot().decide(obs) == 0
+
+
+def test_act_explores_at_full_epsilon():
+    learner = _filled_learner()
+    assert learner.epsilon() == EPS_START == 1.0
+    # Greedy, the zero network would always pick Go.
+    learner.params = {k: np.zeros_like(v) for k, v in learner.params.items()}
+    picks = {learner.act(np.arange(6.0)) for _ in range(64)}
+    assert picks == {0, 1}
 
 
 def test_ready_respects_warmup():
@@ -209,7 +242,7 @@ def test_train_step_updates_parameters_and_counter():
 
 def test_target_network_syncs_on_schedule():
     learner = _filled_learner()
-    for _ in range(TINY.target_sync):
+    for _ in range(TARGET_SYNC):
         learner.train_step()
     for key in learner.params:
         assert learner.target_params[key] == pytest.approx(learner.params[key])
@@ -219,6 +252,7 @@ def test_save_load_round_trip(tmp_path):
     learner = _filled_learner(seed=3)
     for _ in range(4):
         learner.train_step()
+    learner.episodes_done = 2   # epsilon 0.43: some actions random, some not
     path = tmp_path / "ck.npz"
     learner.save(path)
     clone = Learner.load(path)
@@ -231,9 +265,8 @@ def test_save_load_round_trip(tmp_path):
                               learner.target_params[key])
     assert np.array_equal(clone.obs_scale, learner.obs_scale)
     obs = np.arange(6.0)
-    eps = 0.3
-    original_actions = [learner.act(obs, epsilon=eps) for _ in range(20)]
-    clone_actions = [clone.act(obs, epsilon=eps) for _ in range(20)]
+    original_actions = [learner.act(obs) for _ in range(20)]
+    clone_actions = [clone.act(obs) for _ in range(20)]
     assert original_actions == clone_actions  # identical restored rng stream
 
 
@@ -343,8 +376,7 @@ def _spoil(path, fault):
 
 @pytest.mark.parametrize("fault",
                          ["truncated", "empty", "text", "bad_crc", "no_meta"])
-@pytest.mark.parametrize("load", [load_policy, Learner.load],
-                         ids=["load_policy", "Learner.load"])
+@LOADERS
 def test_unreadable_checkpoint_fails_naming_the_file(tmp_path, load, fault):
     path = tmp_path / "ck.npz"
     Learner(6, TINY, seed=1).save(path)
@@ -354,21 +386,106 @@ def test_unreadable_checkpoint_fails_naming_the_file(tmp_path, load, fault):
     assert str(path) in str(info.value)
 
 
-@pytest.mark.parametrize("load", [load_policy, Learner.load],
-                         ids=["load_policy", "Learner.load"])
+def _checkpoint_arrays(path) -> dict[str, np.ndarray]:
+    with np.load(path) as data:
+        return {k: data[k] for k in data.files}
+
+
+def _rewrite_meta(path, edit) -> None:
+    """Rewrite a saved checkpoint with edit(meta) applied to its metadata."""
+    arrays = _checkpoint_arrays(path)
+    meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
+    edit(meta)
+    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                        dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
+@LOADERS
 def test_loading_rejects_another_checkpoint_version(tmp_path, load):
     path = tmp_path / "ck.npz"
     Learner(6, TINY, seed=1).save(path)
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
-    meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
-    meta["version"] = CHECKPOINT_VERSION + 1
-    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
-                                        dtype=np.uint8)
-    np.savez_compressed(path, **arrays)
+    _rewrite_meta(path, lambda meta: meta.update(
+        version=CHECKPOINT_VERSION + 1))
     with pytest.raises(ValueError,
                        match=f"checkpoint version {CHECKPOINT_VERSION + 1}"):
         load(path)
+
+
+# The learner settings that are constants now, at their fixed values, as
+# checkpoints written while they were settings store them in their config.
+RETIRED_SETTINGS = {
+    "gamma": 0.99, "learning_rate": 5e-4, "v_min": -60.0, "v_max": 60.0,
+    "target_sync": 500, "eps_start": 1.0, "eps_end": 0.05,
+    "eps_fraction": 1.0 / 3.0, "buffer_capacity": 50_000, "alpha_per": 0.5,
+    "beta_start": 0.4, "beta_end": 1.0, "priority_floor": 1e-3,
+    "grad_clip": 10.0,
+}
+
+
+@LOADERS
+def test_checkpoint_with_the_retired_settings_loads(tmp_path, load):
+    learner = _filled_learner(seed=2)
+    learner.train_step()
+    path = tmp_path / "ck.npz"
+    learner.save(path)
+    _rewrite_meta(path, lambda meta: meta["config"].update(RETIRED_SETTINGS))
+    loaded = load(path)
+    assert loaded.params.keys() == learner.params.keys()
+    assert all(np.array_equal(loaded.params[k], v)
+               for k, v in learner.params.items())
+    obs = np.array([1.0, 12.0, 0.0, 3.0, 40.0, 1.0])
+    assert load_policy(path).decide(obs) == learner.snapshot().decide(obs)
+    assert Learner.load(path).config == learner.config
+
+
+@pytest.mark.parametrize("key,value", [("gamma", 0.9), ("v_min", -10.0),
+                                       ("target_sync", 3)])
+@LOADERS
+def test_checkpoint_with_another_retired_value_is_rejected(tmp_path, load,
+                                                           key, value):
+    path = tmp_path / "ck.npz"
+    Learner(6, TINY, seed=1).save(path)
+    _rewrite_meta(path, lambda meta: meta["config"].update(
+        RETIRED_SETTINGS, **{key: value}))
+    with pytest.raises(ValueError, match="is not a readable checkpoint") as info:
+        load(path)
+    assert str(path) in str(info.value)
+    assert f"{key} = {value}" in str(info.value)
+
+
+def _misfit(arrays, fault) -> None:
+    """Arrays that no longer fit the network the config describes."""
+    if fault == "renamed":
+        arrays["online/bq"] = arrays.pop("online/bv")
+    elif fault == "reshaped":
+        arrays["online/W0"] = arrays["online/W0"].T.copy()
+    elif fault == "missing":
+        del arrays["online/ba"]
+    elif fault == "obs_scale":
+        arrays["obs_scale"] = arrays["obs_scale"][:-1]
+    elif fault == "target_reshaped":
+        arrays["target/Wa"] = arrays["target/Wa"][:, :-1].copy()
+    elif fault == "velocity_unknown":
+        arrays["velocity/Wq"] = np.zeros(3)
+
+
+@pytest.mark.parametrize("load,fault", [
+    *((load, fault) for load in (load_policy, Learner.load)
+      for fault in ("renamed", "reshaped", "missing", "obs_scale")),
+    (Learner.load, "target_reshaped"),
+    (Learner.load, "velocity_unknown"),
+], ids=lambda x: x if isinstance(x, str) else x.__qualname__)
+def test_checkpoint_that_does_not_fit_its_network_fails_naming_the_file(
+        tmp_path, load, fault):
+    path = tmp_path / "ck.npz"
+    Learner(6, TINY, seed=1).save(path)
+    arrays = _checkpoint_arrays(path)
+    _misfit(arrays, fault)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="is not a readable checkpoint") as info:
+        load(path)
+    assert str(path) in str(info.value)
 
 
 @pytest.mark.parametrize("hidden", [(16,), (128, 128), (512, 512, 512)])
@@ -383,18 +500,20 @@ def test_decide_batch_equals_one_decide_per_row(hidden):
             assert all(type(a) is int for a in actions)
 
 
+HIDDEN_MESSAGE = "hidden must be one or more widths >= 1"
+
+
+# A tuple value gets its id from its place in the list, so the tuple cases
+# name theirs: a case's id stays put when another case is added or dropped.
 @pytest.mark.parametrize("field,value,message", [
-    ("learning_rate", float("nan"), "learning_rate must be finite"),
-    ("v_max", float("inf"), "v_max must be finite"),
-    ("gamma", float("nan"), "gamma must be finite"),
-    ("learning_rate", 0.0, "learning_rate must be > 0"),
-    ("learning_rate", -1.0, "learning_rate must be > 0"),
-    ("target_sync", 0, "target_sync must be >= 1"),
     ("atoms", 0, "atoms must be >= 1"),
     ("batch_size", 0, "batch_size must be >= 1"),
-    ("hidden", (), "hidden must be one or more widths >= 1"),
-    ("hidden", (0,), "hidden must be one or more widths >= 1"),
-    ("hidden", (16, -4), "hidden must be one or more widths >= 1"),
+    pytest.param("hidden", (), HIDDEN_MESSAGE,
+                 id=f"hidden-value8-{HIDDEN_MESSAGE}"),
+    pytest.param("hidden", (0,), HIDDEN_MESSAGE,
+                 id=f"hidden-value9-{HIDDEN_MESSAGE}"),
+    pytest.param("hidden", (16, -4), HIDDEN_MESSAGE,
+                 id=f"hidden-value10-{HIDDEN_MESSAGE}"),
 ])
 def test_learner_config_rejects_bad_settings_by_name(field, value, message):
     with pytest.raises(ValueError, match=f"^{message}"):

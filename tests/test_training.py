@@ -15,7 +15,7 @@ from stopgo.training import (
 )
 
 FAST = LearnerConfig(hidden=(16,), atoms=11, batch_size=8, warmup=16,
-                     buffer_capacity=512, target_sync=20, episodes=3)
+                     episodes=3)
 SHORT = ScenarioConfig(demand=20, episode_duration=60.0, rv_penetration=0.8)
 
 
