@@ -12,7 +12,13 @@ end or clearance start until that boundary has passed; the permitted sets
 are kept in between. Threat lanes are tabled per movement at construction.
 Wrecks are kept in collision order, so dwell expiry reads only the wrecks.
 Without a transition sink no decision is kept open and no reward is
-computed.
+computed. No stop-line hold is evaluated for a vehicle whose leader stands
+no farther ahead than the line: IDM falls as the gap shrinks, so that
+leader already brakes it at least as hard (an HV at an unsignalized
+junction still runs gap acceptance, whose claim later vehicles read). A
+vehicle enters its conflict zone in the move pass, and the occupancy pass
+walks only the zones' occupants. The decision tick finds the controlled
+RVs from the front of each unsignalized approach.
 
 The rules' constants are fixed: every vehicle is VEHICLE_LENGTH long (idm),
 RVs decide every DECISION_PERIOD inside CONTROL_ZONE of the stop line
@@ -264,6 +270,11 @@ class Simulation:
             self._lanes[lane.id] = _Lane(
                 lane.length, min(DESIRED_SPEED, lane.speed_limit), iid,
                 control, stop_line)
+        # (lane id, stop line) of each approach where a policy decides.
+        self._decision_lanes = [
+            (lane_id, lane.stop_line)
+            for lane_id, lane in sorted(self._lanes.items())
+            if lane.control == UNSIGNALIZED]
 
     # -- setup ---------------------------------------------------------------
 
@@ -285,10 +296,6 @@ class Simulation:
     def zone_entry_lanes(self, intersection_id: str) -> set[str]:
         return {m.from_lane
                 for m in self.zone_occupancy[intersection_id].values()}
-
-    def _zone_occupants(self, movement: Movement) -> dict[str, Movement]:
-        """The occupancy of the conflict zone that `movement` crosses."""
-        return self.zone_occupancy[self._lanes[movement.from_lane].intersection]
 
     def controlled(self, vid: str) -> bool:
         """Whether the Stop/Go policy drives the vehicle: a healthy RV whose
@@ -397,9 +404,21 @@ class Simulation:
         observation reads queues, delays and zones, never another RV's
         action at this tick, so a batch policy is asked once for all."""
         t = self.clock
-        rv_ids = sorted(filter(self.controlled, self.vehicles))
+        rv_ids = []
+        lane_vehicles = self.lane_vehicles
+        for lane_id, stop_line in self._decision_lanes:
+            # Front first: every vehicle behind one beyond CONTROL_ZONE is
+            # beyond it too.
+            for v in lane_vehicles[lane_id]:
+                d_stop = stop_line - v.position
+                if d_stop > CONTROL_ZONE:
+                    break
+                if d_stop >= 0.0 and v.kind == RV and v.collided_at is None \
+                        and v.next_move is not None:
+                    rv_ids.append(v.id)
         if not rv_ids:
             return
+        rv_ids.sort()
         observations = [build_observation(self, self.net, rv_id)
                         for rv_id in rv_ids]
         actions = (self._decide_batch(observations)
@@ -471,9 +490,15 @@ class Simulation:
         return all(dist / w.speed >= GAP_ACCEPT_TTA
                    for w, dist in self._threats(movement))
 
-    def _compute_accelerations(self) -> dict[str, float]:
-        accel: dict[str, float] = {}
+    def _compute_accelerations(self) -> list[tuple[VehicleState, float]]:
+        """(vehicle, acceleration) of every healthy vehicle, lane by lane,
+        each lane front first."""
+        moves = []
+        append = moves.append
         claims: dict[str, list[str]] = {}
+        # Movement id -> whether its green entry holds; what decides it does
+        # not change during this pass.
+        green_holds: dict[str, bool] = {}
         permitted = self.permitted
         lane_vehicles = self.lane_vehicles
         # Read the IDM law at call time, so that a wrapper set on the
@@ -485,72 +510,91 @@ class Simulation:
             lead = None     # the previous vehicle on the lane, collided or not
             for v in vehicles:
                 if v.collided_at is not None:
-                    accel[v.id] = 0.0
                     lead = v
                     continue
                 movement = v.next_move
+                speed, position = v.speed, v.position
                 # Real leader: same lane, else the tail of the next route lane.
                 if lead is not None:
-                    gap = lead.position - lead.length - v.position
-                    dv = v.speed - lead.speed
+                    gap = lead.position - lead.length - position
+                    lead_speed = lead.speed
+                    dv = speed - lead_speed
                 elif movement is not None and lane_vehicles[movement.to_lane]:
                     tail = lane_vehicles[movement.to_lane][-1]
-                    gap = (length - v.position) + tail.position - tail.length
-                    dv = v.speed - tail.speed
+                    gap = (length - position) + tail.position - tail.length
+                    lead_speed = tail.speed
+                    dv = speed - lead_speed
                 else:
-                    gap, dv = NO_LEADER_GAP, 0.0
+                    gap, lead_speed, dv = NO_LEADER_GAP, None, 0.0
                 lead = v
-                a = idm(v.speed, dv, gap if gap > 1e-3 else 1e-3, v0)
+                a = idm(speed, dv, gap if gap > 1e-3 else 1e-3, v0)
 
                 # Stop-line constraints apply only before the line.
-                if stop_line is not None and v.position <= stop_line:
-                    d_stop = stop_line - v.position
-                    hold = False
-                    if movement is None:
-                        hold = False
-                    elif control == SIGNALIZED:
+                if stop_line is None or position > stop_line \
+                        or movement is None:
+                    append((v, a))
+                    continue
+                d_stop = stop_line - position
+                # A hold brakes for a standing leader at the line. A leader
+                # standing no farther ahead gives IDM the same speed and
+                # approach rate and a gap no larger, and IDM falls as the
+                # gap shrinks, so the hold could not brake harder.
+                bound = lead_speed == 0.0 and gap <= d_stop
+                hold = False
+                if control == SIGNALIZED:
+                    if not bound:
                         if movement.id not in permitted[iid]:
                             hold = True
                         elif d_stop <= ENGAGE_RANGE:
-                            hold = (self._zone_conflict_occupied(iid, movement)
+                            hold = green_holds.get(movement.id)
+                            if hold is None:
+                                hold = green_holds[movement.id] = (
+                                    self._zone_conflict_occupied(iid, movement)
                                     or self._committed_runner(movement))
-                    elif control == UNSIGNALIZED:
-                        if v.kind == RV:
-                            hold = (self.controlled(v.id)
-                                    and v.current_action != GO)
-                        elif d_stop <= ENGAGE_RANGE \
-                                and self._front_before_line(lane_id) is v:
-                            if self._hv_cleared(iid, movement, claims):
-                                claims.setdefault(iid, []).append(movement.id)
-                            else:
-                                hold = True
-                    if hold:
-                        a_line = idm(v.speed, v.speed,
-                                     d_stop if d_stop > 1e-3 else 1e-3, v0)
-                        if a_line < a:
-                            a = a_line
-                accel[v.id] = a
-        return accel
+                elif v.kind == RV:
+                    # Controlled: within CONTROL_ZONE of the line (see
+                    # `controlled`).
+                    hold = (not bound and d_stop <= CONTROL_ZONE
+                            and v.current_action != GO)
+                elif d_stop <= ENGAGE_RANGE \
+                        and self._front_before_line(lane_id) is v:
+                    # Gap acceptance runs even when bound: later vehicles
+                    # read the claim it makes.
+                    if self._hv_cleared(iid, movement, claims):
+                        claims.setdefault(iid, []).append(movement.id)
+                    else:
+                        hold = not bound
+                if hold:
+                    a_line = idm(speed, speed,
+                                 d_stop if d_stop > 1e-3 else 1e-3, v0)
+                    if a_line < a:
+                        a = a_line
+                append((v, a))
+        return moves
 
     # -- integration, occupancy, collisions ----------------------------------
 
-    def _integrate(self, accel):
-        """Advance every vehicle, then hand those past their lane's end to
-        the next lane. No vehicle passes its leader on a lane, so each lane
-        stays in order; a handed-off vehicle is inserted only once every
-        position is current. Returns the ids that reached their exit's end."""
+    def _integrate(self, moves):
+        """Advance every healthy vehicle, then hand those past their lane's
+        end to the next lane. No vehicle passes its leader on a lane, so
+        each lane stays in order; a handed-off vehicle is inserted only once
+        every position is current. A vehicle enters its conflict zone once
+        its lane for the step is final. Returns the ids that reached their
+        exit's end."""
         arrived, handed_off = [], []
         dt, lanes = self.config.dt, self._lanes
         advance = advance_vehicle   # read at call time, as in accelerations
-        for vid, v in self.vehicles.items():
-            if v.collided_at is not None:
-                continue
-            advance(v, accel[vid], dt)
-            if v.position > lanes[v.lane].length:
+        for v, a in moves:
+            advance(v, a, dt)
+            lane = lanes[v.lane]
+            if v.position > lane.length:
                 if v.next_move is None:
-                    arrived.append(vid)
+                    arrived.append(v.id)
                 else:
                     handed_off.append(v)
+            elif v.zone is None and lane.stop_line is not None \
+                    and v.position > lane.stop_line:
+                self._enter_zone(v, lane)
         for v in handed_off:
             self._leave_lane(v)
             v.position -= self._lanes[v.lane].length
@@ -563,7 +607,27 @@ class Simulation:
             if not vehicles:
                 insort(self.occupied_lanes, v.lane)
             insort(vehicles, v, key=lambda u: (-u.position, u.id))
+            if v.zone is None:
+                self._enter_zone(v, lanes[v.lane])
+        # A wreck does not move, but one made at the previous step may have
+        # left its zone there with its front already past the next stop
+        # line (on a lane less than a vehicle length longer than
+        # zone_length): it enters that zone now.
+        made = (self.step_count - 1) * dt
+        for v in reversed(self._wrecks):
+            if v.collided_at != made:
+                break
+            if v.zone is None:
+                self._enter_zone(v, lanes[v.lane])
         return arrived
+
+    def _enter_zone(self, v: VehicleState, lane: _Lane):
+        """Enter the conflict zone ahead once the front is past the stop
+        line."""
+        if lane.stop_line is not None and v.position > lane.stop_line \
+                and v.next_move is not None:
+            v.zone = v.next_move
+            self.zone_occupancy[lane.intersection][v.id] = v.zone
 
     def _leave_lane(self, v: VehicleState):
         vehicles = self.lane_vehicles[v.lane]
@@ -572,23 +636,21 @@ class Simulation:
             self.occupied_lanes.remove(v.lane)
 
     def _update_occupancy(self):
-        """Enter and clear conflict zones; returns the ids whose passage
-        completed with a decision pending."""
+        """Clear each zone of the vehicles whose rear has entered the exit
+        lane; returns the ids whose passage completed with a decision
+        pending."""
         passed = []
-        lanes = self._lanes
-        for vid, v in self.vehicles.items():
-            zone = v.zone
-            if zone is None:
-                lane = lanes[v.lane]
-                if lane.stop_line is not None and v.position > lane.stop_line \
-                        and v.next_move is not None:
-                    v.zone = v.next_move
-                    self.zone_occupancy[lane.intersection][vid] = v.zone
-            elif v.lane == zone.to_lane and v.position >= v.length:
-                del self._zone_occupants(zone)[vid]
-                v.zone = None
-                if vid in self.pending:
-                    passed.append(vid)
+        vehicles = self.vehicles
+        for _, occupancy in self._zones:
+            if not occupancy:
+                continue
+            for vid, zone in list(occupancy.items()):
+                v = vehicles[vid]
+                if v.lane == zone.to_lane and v.position >= v.length:
+                    del occupancy[vid]
+                    v.zone = None
+                    if vid in self.pending:
+                        passed.append(vid)
         return passed
 
     def _record_collision(self, t, kind, v1, v2, location):
@@ -632,7 +694,8 @@ class Simulation:
     def _remove_vehicle(self, vid: str):
         v = self.vehicles.pop(vid)
         if v.zone is not None:
-            del self._zone_occupants(v.zone)[vid]
+            iid = self._lanes[v.zone.from_lane].intersection
+            del self.zone_occupancy[iid][vid]
         self._leave_lane(v)
         return v
 
@@ -660,8 +723,8 @@ class Simulation:
         self._update_signals()
         if self.step_count % self._decision_steps == 0:
             self._decision_step()
-        accel = self._compute_accelerations()
-        arrived = self._integrate(accel)
+        moves = self._compute_accelerations()
+        arrived = self._integrate(moves)
         passed = self._update_occupancy()
         # self.vehicles is in spawn order, not id order. Sort the two id
         # lists whose order reaches an output: completed passages set the

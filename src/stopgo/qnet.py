@@ -163,13 +163,22 @@ def sgd_step(params, grads, lr: float, clip_norm: float = 10.0,
              velocity: dict[str, np.ndarray] | None = None) -> float:
     """In-place SGD with global gradient-norm clipping; returns the
     pre-clip norm. With momentum > 0 a velocity dict must be supplied; a
-    key it lacks starts at zero velocity."""
+    key it lacks starts at zero velocity. The step is computed in the
+    arrays of `grads`, which hold lr times the step afterwards."""
     norm = global_grad_norm(grads)
     scale = clip_norm / norm if (clip_norm > 0 and norm > clip_norm) else 1.0
     for key, g in grads.items():
-        step = g * scale
+        if scale != 1.0:
+            np.multiply(g, scale, out=g)
+        step = g
         if momentum > 0.0:
-            velocity[key] = momentum * velocity.get(key, 0.0) + step
-            step = velocity[key]
-        params[key] -= lr * step
+            step = velocity.get(key)
+            if step is None:
+                # 0.0 + g, as a zero velocity gives: -0.0 becomes 0.0.
+                step = velocity[key] = g + 0.0
+            else:
+                step *= momentum
+                step += g
+        np.multiply(step, lr, out=g)
+        params[key] -= g
     return norm

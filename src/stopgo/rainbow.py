@@ -126,15 +126,22 @@ def double_q_target(online_params, target_params, rewards: np.ndarray,
 
 
 class Learner:
-    """Owns the online/target parameters, the replay buffer, and the RNG."""
+    """Owns the online/target parameters, the replay buffer, and the RNG.
+
+    `target_params` is None until the first train_step copies the online
+    parameters into it, so an untrained learner holds one network.
+    `params`, when given, are the online parameters (Learner.load);
+    otherwise they are drawn from the seed.
+    """
 
     def __init__(self, obs_dim: int, config: LearnerConfig = LearnerConfig(),
-                 seed: int = 0):
+                 seed: int = 0, params: dict[str, np.ndarray] | None = None):
         self.config = config
         self.obs_dim = obs_dim
         self.rng = np.random.default_rng(seed)
-        self.params = qnet.init_params(config.net_spec(obs_dim), self.rng)
-        self.target_params = {k: v.copy() for k, v in self.params.items()}
+        self.params = (qnet.init_params(config.net_spec(obs_dim), self.rng)
+                       if params is None else params)
+        self.target_params: dict[str, np.ndarray] | None = None
         # Momentum buffers, created by the first momentum step.
         self.velocity: dict[str, np.ndarray] = {}
         self.buffer = ReplayBuffer()
@@ -180,6 +187,8 @@ class Learner:
         if not self.ready():
             return None
         cfg = self.config
+        if self.target_params is None:
+            self.target_params = {k: v.copy() for k, v in self.params.items()}
         indices, batch, weights = self.buffer.sample(
             cfg.batch_size, self.beta_is(), self.rng)
         targets = double_q_target(self.params, self.target_params,
@@ -200,9 +209,13 @@ class Learner:
     def save(self, path) -> None:
         """Write parameters, counters and RNG state to one .npz whose zip
         entries are stored, not deflated: deflate shrank a 512-wide
-        learner's file by under 5% and took most of its save time."""
+        learner's file by under 5% and took most of its save time. Before
+        the first train_step the target group holds the online parameters,
+        which the first step would copy."""
+        target = self.params if self.target_params is None \
+            else self.target_params
         arrays = {f"online/{k}": v for k, v in self.params.items()}
-        arrays.update({f"target/{k}": v for k, v in self.target_params.items()})
+        arrays.update({f"target/{k}": v for k, v in target.items()})
         arrays.update({f"velocity/{k}": v for k, v in self.velocity.items()})
         arrays["obs_scale"] = self.obs_scale
         meta = {
@@ -224,8 +237,7 @@ class Learner:
         is not saved: the loaded learner starts with an empty one."""
         with _open_checkpoint(path, "online", "target", "velocity") as (
                 meta, config, obs_scale, params, target, velocity):
-            learner = cls(meta["obs_dim"], config, seed=0)
-            learner.params = params
+            learner = cls(meta["obs_dim"], config, params=params)
             learner.target_params = target
             learner.velocity = velocity
             learner.obs_scale = obs_scale

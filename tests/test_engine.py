@@ -19,7 +19,10 @@ from stopgo.engine import (
     write_events_csv,
 )
 from stopgo.metrics import ExperimentSpec, MetricError
-from stopgo.netmodel import GridGeometry, generate_grid
+from stopgo.idm import HV, VehicleState
+from stopgo.netmodel import (UNSIGNALIZED, GridGeometry, Intersection, Lane,
+                             Movement, Network, Route, generate_grid,
+                             validate_network)
 from stopgo.rainbow import Learner, LearnerConfig
 from stopgo.signals import permitted_movements, phase_at
 from stopgo.training import ScenarioConfig, observation_dim
@@ -343,6 +346,125 @@ def test_zone_occupancy_empties_after_drain(net_1u):
         sim.step()
     assert not sim.vehicles
     assert all(not occupants for occupants in sim.zone_occupancy.values())
+
+
+def test_decision_tick_asks_the_controlled_rvs(monkeypatch):
+    """The tick finds the RVs from the unsignalized approach lanes; they
+    are the vehicles `controlled` admits, in id order."""
+    net = generate_grid(12, 2, GridGeometry(rows=2, cols=7))
+    schedule = DemandSchedule(total_vehicles=1200, horizon=1000.0,
+                              rv_penetration=0.6)
+    sim = Simulation(net, schedule, RandomPolicy(), seed=1)
+    expected, asked = [], []
+    decision_step, build = sim._decision_step, engine.build_observation
+
+    def checked_decision_step():
+        expected.append(sorted(filter(sim.controlled, sim.vehicles)))
+        asked.append([])
+        decision_step()
+
+    def recorded_build(world, net, rv_id):
+        asked[-1].append(rv_id)
+        return build(world, net, rv_id)
+
+    monkeypatch.setattr(sim, "_decision_step", checked_decision_step)
+    monkeypatch.setattr(engine, "build_observation", recorded_build)
+    for _ in range(1500):
+        sim.step()
+    assert len(asked) == 150
+    assert asked == expected
+    assert sum(map(len, asked)) > 1000
+
+
+def _short_link_net(link_length):
+    """W -> J0 -> LINK -> J1 -> E, crossed at J0 and at J1 by one stream
+    each; both junctions unsignalized."""
+    lanes = (Lane("W", 60.0, 13.9, "J0"), Lane("LINK", link_length, 13.9, "J1"),
+             Lane("E", 60.0, 13.9), Lane("N0", 60.0, 13.9, "J0"),
+             Lane("S0", 60.0, 13.9), Lane("N1", 60.0, 13.9, "J1"),
+             Lane("S1", 60.0, 13.9))
+    movements = (Movement("M_W", "W", "LINK", "straight"),
+                 Movement("M_LINK", "LINK", "E", "straight"),
+                 Movement("M_N0", "N0", "S0", "straight"),
+                 Movement("M_N1", "N1", "S1", "straight"))
+    net = Network(
+        (Intersection("J0", UNSIGNALIZED, "CZ_J0"),
+         Intersection("J1", UNSIGNALIZED, "CZ_J1")),
+        lanes, movements, (("M_N0", "M_W"), ("M_LINK", "M_N1")),
+        (Route("R0", ("W", "LINK", "E")), Route("R1", ("N0", "S0")),
+         Route("R2", ("N1", "S1"))))
+    validate_network(net)
+    return net
+
+
+@pytest.mark.parametrize("zone_length", [12.0, 0.5])
+def test_zone_entry_matches_a_full_scan(zone_length):
+    """LINK's stop line lies 5 cm past its start, within one step's
+    travel. After every step each vehicle's zone is what a scan of every
+    vehicle gives: one outside a zone enters the zone ahead once its front
+    is past the stop line, and one inside leaves once its rear has entered
+    the exit lane. At zone_length 0.5 some vehicles pass W's stop line and
+    end in one step, and enter J1's zone on LINK, the lane just handed to
+    them."""
+    net = _short_link_net(zone_length + 0.05)
+    schedule = DemandSchedule(total_vehicles=150, horizon=300.0,
+                              rv_penetration=0.5)
+    sim = Simulation(net, schedule, RandomPolicy(), seed=3,
+                     config=EngineConfig(zone_length=zone_length),
+                     log_decisions=False)
+    before = {}     # vehicle id -> (zone, lane) before the step
+    entered_on_hand_off = 0
+    for _ in range(3000):
+        sim.step()
+        zones = {i.id: {} for i in net.intersections}
+        for vid, v in sim.vehicles.items():
+            zone, lane_before = before.get(vid, (None, None))
+            lane = net.lane_by_id[v.lane]
+            if zone is None:
+                if lane.downstream_intersection is not None \
+                        and v.position > lane.length - zone_length \
+                        and v.next_move is not None:
+                    zone = v.next_move
+                    entered_on_hand_off += lane_before not in (None, v.lane)
+            elif v.lane == zone.to_lane and v.position >= v.length:
+                zone = None
+            assert v.zone == zone, vid
+            if zone is not None:
+                iid = net.lane_by_id[zone.from_lane].downstream_intersection
+                zones[iid][vid] = zone
+        assert sim.zone_occupancy == zones
+        before = {vid: (v.zone, v.lane) for vid, v in sim.vehicles.items()}
+    assert sim.summary().collision_events > 0
+    assert (entered_on_hand_off > 0) == (zone_length < 1.0)
+
+
+def test_a_wreck_that_left_its_zone_enters_the_next_one():
+    """A leaves J0's zone on LINK and runs into B in the same step. LINK's
+    stop line lies behind A, so at the next step A, now a wreck, enters
+    J1's zone as a moving vehicle would."""
+    net = _short_link_net(12.05)
+    sim = Simulation(net, DemandSchedule(total_vehicles=1, horizon=1000.0),
+                     AlwaysGoPolicy(), seed=1, log_decisions=False)
+    placed = {}
+    for vid, position, speed in (("B", 10.0, 0.0), ("A", 4.95, 3.0)):
+        v = VehicleState(id=vid, kind=HV, lane="LINK", position=position,
+                         speed=speed, route_id="R0", route_index=1)
+        v.next_move = net.movement_by_id["M_LINK"]
+        sim.vehicles[vid] = v
+        sim.lane_vehicles["LINK"].append(v)
+        placed[vid] = v
+    sim.occupied_lanes.append("LINK")
+    a, b = placed["A"], placed["B"]
+    a.zone = net.movement_by_id["M_W"]
+    b.zone = net.movement_by_id["M_LINK"]
+    sim.zone_occupancy["J0"]["A"] = a.zone
+    sim.zone_occupancy["J1"]["B"] = b.zone
+    sim.step()
+    assert a.collided_at == 0.0 and a.position >= a.length
+    assert a.zone is None and "A" not in sim.zone_occupancy["J0"]
+    sim.step()
+    assert a.zone == net.movement_by_id["M_LINK"]
+    assert sim.zone_occupancy["J1"] == {"A": a.zone, "B": b.zone}
 
 
 def test_summary_text_is_key_value_lines(net_1u):

@@ -198,3 +198,21 @@ def test_platoon_never_produces_negative_gap(speeds, gaps, leader_brakes):
 
 def test_no_leader_sentinel_is_infinite():
     assert math.isinf(NO_LEADER_GAP)
+
+
+_GAPS = st.one_of(st.floats(min_value=0.0, max_value=2e-3, exclude_min=True),
+                  st.floats(min_value=0.0, max_value=1e4, exclude_min=True))
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(speed=st.floats(min_value=0.0, max_value=100.0), g=_GAPS, d=_GAPS,
+       desired_speed=st.floats(min_value=0.1, max_value=40.0))
+def test_a_nearer_standing_leader_never_brakes_less(speed, g, d, desired_speed):
+    """Behind a standing leader the approach rate equals the speed, so only
+    the gap differs, and a gap no larger gives no larger an acceleration,
+    in floating point too, after the engine's 1e-3 clamp. The engine
+    relies on this to skip a stop-line hold a standing leader binds."""
+    g, d = min(g, d), max(g, d)
+    nearer = idm_acceleration(speed, speed, max(g, 1e-3), desired_speed)
+    at_line = idm_acceleration(speed, speed, max(d, 1e-3), desired_speed)
+    assert nearer <= at_line

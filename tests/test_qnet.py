@@ -191,8 +191,9 @@ def test_sgd_momentum_from_empty_velocity_matches_zero_start_bit_for_bit():
         grads = {k: rng.normal(size=v.shape) * 5.0 for k, v in start.items()}
         grads["b"][0] = -0.0
         for p, vel in ((params, velocity), (zero_params, zero_velocity)):
-            sgd_step(p, grads, lr=0.1, clip_norm=10.0, momentum=0.9,
-                     velocity=vel)
+            # sgd_step writes into the gradients: each call gets a copy.
+            sgd_step(p, {k: g.copy() for k, g in grads.items()}, lr=0.1,
+                     clip_norm=10.0, momentum=0.9, velocity=vel)
     for key in start:
         assert params[key].tobytes() == zero_params[key].tobytes()
         assert velocity[key].tobytes() == zero_velocity[key].tobytes()

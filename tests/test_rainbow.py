@@ -270,6 +270,41 @@ def test_save_load_round_trip(tmp_path):
     assert original_actions == clone_actions  # identical restored rng stream
 
 
+def test_untrained_learner_holds_one_network(tmp_path):
+    learner = _filled_learner(seed=3)
+    assert learner.target_params is None
+    path = tmp_path / "ck.npz"
+    learner.save(path)
+    with np.load(path) as data:
+        for key, value in learner.params.items():
+            assert np.array_equal(data[f"target/{key}"], value)
+    start = {k: v.copy() for k, v in learner.params.items()}
+    learner.train_step()
+    # The first step copied the online network before it moved it.
+    assert learner.target_params.keys() == start.keys()
+    for key, value in start.items():
+        assert learner.target_params[key].tobytes() == value.tobytes()
+
+
+def test_load_draws_no_weights(tmp_path, monkeypatch):
+    learner = _filled_learner(seed=3)
+    for _ in range(2):
+        learner.train_step()
+    path = tmp_path / "ck.npz"
+    learner.save(path)
+
+    def no_draw(*args):
+        raise AssertionError("Learner.load drew weights")
+
+    monkeypatch.setattr("stopgo.qnet.init_params", no_draw)
+    clone = Learner.load(path)
+    for mine, theirs in ((clone.params, learner.params),
+                         (clone.target_params, learner.target_params)):
+        assert mine.keys() == theirs.keys()
+        assert all(np.array_equal(mine[k], theirs[k]) for k in theirs)
+    assert clone.rng.bit_generator.state == learner.rng.bit_generator.state
+
+
 def test_momentum_free_learner_holds_no_velocity(tmp_path):
     learner = _filled_learner()
     for _ in range(3):
