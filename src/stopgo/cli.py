@@ -58,8 +58,6 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True,
                    help="directory for checkpoint.npz and training_curve.csv")
     p.add_argument("--config", default=None, help="learner/scenario config file")
-    p.add_argument("--resume", action="store_true",
-                   help="continue from the checkpoint already in the directory")
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("simulate", help="run one rollout")
@@ -186,13 +184,10 @@ def _cmd_train(args) -> int:
     scenario = _build(ScenarioConfig, values)
     net = netmodel.load_network(args.network)
     seed = as_int(values, "seed", 0)
-    resume = None
-    if args.resume:
-        resume = training.resolve_checkpoint(args.checkpoint)
     training.train(net, learner_config.episodes, seed, args.checkpoint,
                    learner_config=learner_config, scenario=scenario,
                    engine_config=_build(EngineConfig, values),
-                   resume_from=resume, quiet=args.quiet)
+                   quiet=args.quiet)
     print(f"checkpoint written to {args.checkpoint}")
     return 0
 

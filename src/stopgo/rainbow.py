@@ -53,9 +53,13 @@ class LearnerConfig:
 
     def __post_init__(self):
         require_finite(self)
-        for name in ("batch_size", "atoms"):
+        for name in ("batch_size", "atoms", "episodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.warmup < 0:
+            raise ValueError("warmup must be >= 0")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
         if not self.hidden or min(self.hidden) < 1:
             raise ValueError("hidden must be one or more widths >= 1")
 
@@ -207,43 +211,27 @@ class Learner:
     # -- checkpointing -----------------------------------------------------
 
     def save(self, path) -> None:
-        """Write parameters, counters and RNG state to one .npz whose zip
-        entries are stored, not deflated: deflate shrank a 512-wide
-        learner's file by under 5% and took most of its save time. Before
-        the first train_step the target group holds the online parameters,
-        which the first step would copy."""
-        target = self.params if self.target_params is None \
-            else self.target_params
+        """Write the policy: the online parameters, the observation scale
+        and the config, as one .npz whose zip entries are stored, not
+        deflated: deflate shrank a 512-wide learner's file by under 5% and
+        took most of its save time."""
         arrays = {f"online/{k}": v for k, v in self.params.items()}
-        arrays.update({f"target/{k}": v for k, v in target.items()})
-        arrays.update({f"velocity/{k}": v for k, v in self.velocity.items()})
         arrays["obs_scale"] = self.obs_scale
-        meta = {
-            "version": CHECKPOINT_VERSION,
-            "obs_dim": self.obs_dim,
-            "config": asdict(self.config),
-            "train_steps": self.train_steps,
-            "episodes_done": self.episodes_done,
-            "rng_state": self.rng.bit_generator.state,
-        }
+        meta = {"version": CHECKPOINT_VERSION, "obs_dim": self.obs_dim,
+                "config": asdict(self.config)}
         arrays["meta_json"] = np.frombuffer(
             json.dumps(meta).encode("utf-8"), dtype=np.uint8).copy()
         np.savez(path, **arrays)
 
     @classmethod
     def load(cls, path) -> "Learner":
-        """Restore parameters, counters, and RNG state from a checkpoint,
-        stored or, as older versions wrote it, deflated. The replay buffer
-        is not saved: the loaded learner starts with an empty one."""
-        with _open_checkpoint(path, "online", "target", "velocity") as (
-                meta, config, obs_scale, params, target, velocity):
-            learner = cls(meta["obs_dim"], config, params=params)
-            learner.target_params = target
-            learner.velocity = velocity
+        """A learner holding a checkpoint's online parameters, config and
+        observation scale, with no weights drawn. It is kept for the
+        benchmark's reload check and the behaviour lock, which read a
+        checkpoint's parameters through it."""
+        with _open_checkpoint(path) as (config, obs_scale, params):
+            learner = cls(len(obs_scale), config, params=params)
             learner.obs_scale = obs_scale
-            learner.train_steps = meta["train_steps"]
-            learner.episodes_done = meta["episodes_done"]
-            learner.rng.bit_generator.state = meta["rng_state"]
         return learner
 
     def snapshot(self) -> "PolicySnapshot":
@@ -307,13 +295,13 @@ _UNREADABLE = (OSError, EOFError, ValueError, KeyError, TypeError,
 
 
 @contextmanager
-def _open_checkpoint(path, *groups: str):
-    """A checkpoint, stored or deflated, as its metadata, learner config,
-    observation scale and then each parameter group named ("online",
-    "target", "velocity") as a dict of arrays. The version, the config
-    and every array read are checked against the network the config
-    describes. zipfile checks each entry's CRC as it is read, so a fault
-    met anywhere in the with-block becomes a ValueError naming the file."""
+def _open_checkpoint(path):
+    """A checkpoint, stored or deflated, as its learner config, observation
+    scale and online parameters. The version, the config and the arrays
+    read are checked against the network the config describes; anything
+    else a file holds, such as the groups earlier writers added, is left
+    unread. zipfile checks each entry's CRC as it is read, so a fault met
+    anywhere in the with-block becomes a ValueError naming the file."""
     try:
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
@@ -326,14 +314,10 @@ def _open_checkpoint(path, *groups: str):
             if obs_scale.shape != (obs_dim,):
                 raise ValueError(f"obs_scale has shape {obs_scale.shape}, "
                                  f"the network reads {obs_dim} values")
-            layout = qnet.layout(config.net_spec(obs_dim))
-            arrays = []
-            for group in groups:
-                arrays.append(_arrays(data, group + "/"))
-                # Momentum velocity exists only for the parameters stepped.
-                _check_layout(group, arrays[-1], layout,
-                              whole=group != "velocity")
-            yield (meta, config, obs_scale, *arrays)
+            params = {k[len("online/"):]: data[k] for k in data.files
+                      if k.startswith("online/")}
+            _check_layout(params, qnet.layout(config.net_spec(obs_dim)))
+            yield config, obs_scale, params
     except FileNotFoundError:
         raise
     except _UNREADABLE as error:
@@ -355,28 +339,23 @@ def _stored_config(stored: dict) -> LearnerConfig:
     return LearnerConfig(**dict(fields, hidden=tuple(fields["hidden"])))
 
 
-def _arrays(data, prefix: str) -> dict[str, np.ndarray]:
-    return {k[len(prefix):]: data[k] for k in data.files if k.startswith(prefix)}
-
-
-def _check_layout(group: str, arrays: dict, layout: dict,
-                  whole: bool) -> None:
-    """Each array must have a parameter's name and shape; a whole group
-    must hold every parameter."""
-    for name, array in arrays.items():
+def _check_layout(params: dict, layout: dict) -> None:
+    """The online group must hold every parameter of the network, each with
+    its name and shape."""
+    for name, array in params.items():
         if name not in layout:
-            raise ValueError(f"{group}/{name} is not a parameter of the "
+            raise ValueError(f"online/{name} is not a parameter of the "
                              "network")
         if array.shape != layout[name]:
-            raise ValueError(f"{group}/{name} has shape {array.shape}, the "
+            raise ValueError(f"online/{name} has shape {array.shape}, the "
                              f"network's is {layout[name]}")
-    missing = [name for name in layout if name not in arrays]
-    if whole and missing:
-        raise ValueError(f"{group}/{missing[0]} is missing")
+    missing = [name for name in layout if name not in params]
+    if missing:
+        raise ValueError(f"online/{missing[0]} is missing")
 
 
 def load_policy(path) -> PolicySnapshot:
     """The greedy policy of a saved Learner: reads only the online
     parameters, the observation scale and the atom support."""
-    with _open_checkpoint(path, "online") as (_, config, obs_scale, params):
+    with _open_checkpoint(path) as (config, obs_scale, params):
         return PolicySnapshot(params, config.support, obs_scale)

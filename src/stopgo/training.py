@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .agent import check_policy_fits, observation_dim
+from .agent import observation_dim
 from .engine import (AlwaysGoPolicy, DemandSchedule, EngineConfig,
                      RandomPolicy, Simulation, require_finite)
 from .netmodel import Network
@@ -60,27 +60,24 @@ def train(net: Network, episodes: int, seed: int, checkpoint_dir,
           learner_config: LearnerConfig = LearnerConfig(),
           scenario: ScenarioConfig = ScenarioConfig(),
           engine_config: EngineConfig = EngineConfig(),
-          resume_from=None, quiet: bool = False) -> Learner:
+          quiet: bool = False) -> Learner:
     """Run the full training loop and leave a checkpoint + curve CSV in
-    checkpoint_dir. Bit-reproducible for fixed inputs and seed."""
-    obs_dim = observation_dim(net)
-    if resume_from is not None:
-        learner = Learner.load(resume_from)
-        check_policy_fits(learner, net)
-    else:
-        learner = Learner(obs_dim, learner_config, seed)
+    checkpoint_dir. Bit-reproducible for fixed inputs and seed.
+
+    `episodes` is how many episodes run; `learner_config.episodes` is the
+    horizon that epsilon and beta anneal over. The CLI passes one value
+    for both; the benchmark's desk training runs 15 episodes of a
+    200-episode horizon."""
+    learner = Learner(observation_dim(net), learner_config, seed)
     os.makedirs(checkpoint_dir, exist_ok=True)
     curve_path = os.path.join(checkpoint_dir, CURVE_FILE)
     ckpt_path = os.path.join(checkpoint_dir, CHECKPOINT_FILE)
 
     policy = TrainingPolicy(learner)
     schedule = scenario.schedule()
-    # A resumed run appends to the curve of the episodes already done.
-    mode = "w" if resume_from is None else "a"
-    with open(curve_path, mode, encoding="utf-8", newline="\n") as curve:
-        if curve.tell() == 0:
-            curve.write(",".join(CURVE_COLUMNS) + "\n")
-        for episode in range(learner.episodes_done, episodes):
+    with open(curve_path, "w", encoding="utf-8", newline="\n") as curve:
+        curve.write(",".join(CURVE_COLUMNS) + "\n")
+        for episode in range(episodes):
             ep_rewards: list[float] = []
             ep_losses: list[float] = []
 

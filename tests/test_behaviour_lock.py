@@ -5,9 +5,14 @@ A refactor must leave every digest unchanged: the event logs (decision rows
 included), the serialized networks (routes included), the training curve and
 the checkpoint's parameters stay byte-identical. A change that alters
 behaviour on purpose records the new digests here and says why in CHANGES.md.
+
+Beside each event-log digest the lock pins the counts the log implies, and
+beside the training digests the curve's last row. They are compared first,
+so that a failure says what moved, e.g. `Collision kind=Crossing 53 → 61`.
 """
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -76,6 +81,23 @@ DIGESTS = {
         "312e87320be86871bae5622d062d268e1ddf8b635ef57a69f70afc5490cea5b2",
 }
 
+COUNT_KEYS = ("Spawn", "Departure", "Decision action=Go",
+              "Decision action=Stop", "Collision kind=Crossing",
+              "Collision kind=RearEnd", "collided vehicles")
+
+# name: the count of each of COUNT_KEYS in the rollout's event log.
+COUNTS = {
+    "12U+2S-demand120": (120, 102, 723, 724, 3, 0, 6),
+    "4U+10S-no-lefts": (120, 98, 234, 205, 2, 0, 4),
+    "0U+14S-demand600": (120, 30, 0, 0, 0, 0, 0),
+    "1S-all-red-2": (117, 92, 0, 0, 0, 0, 0),
+    "12U+2S-demand1200": (356, 116, 2068, 2043, 53, 0, 95),
+    "1U+1S-speed-limit-10": (120, 65, 271, 244, 13, 1, 26),
+    "4U+10S-cycle-47.3": (180, 121, 409, 405, 7, 0, 14),
+}
+
+CURVE_LAST_ROW = "1,80,-0.545312,3,0.0500,2.409464"
+
 NETWORK_DIGESTS = {
     "12U+2S":
         "8125498e317fc07cc11ee092ca595b466e927bac4f0b6173ad7a724dbe957af8",
@@ -121,6 +143,23 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _event_counts(events) -> dict[str, int]:
+    """The count of each of COUNT_KEYS: Spawn and Departure rows, Decision
+    rows by action, Collision rows by kind, and distinct collided vehicles."""
+    rows = Counter(e.event_type if e.event_type in ("Spawn", "Departure")
+                   else f"{e.event_type} {e.extra}" for e in events)
+    rows["collided vehicles"] = len({vid for e in events
+                                     if e.event_type == "Collision"
+                                     for vid in e.vehicle_ids})
+    return {key: rows[key] for key in COUNT_KEYS}
+
+
+def _assert_unmoved(expected: dict, got: dict) -> None:
+    moved = [f"{key} {expected[key]} → {got[key]}" for key in expected
+             if got[key] != expected[key]]
+    assert not moved, ", ".join(moved)
+
+
 @pytest.mark.parametrize("name", sorted(ROLLOUTS))
 def test_event_log_digest(name, tmp_path):
     (u, s, rows, cols, no_lefts, demand, horizon, rv_rate, seed, duration,
@@ -134,6 +173,7 @@ def test_event_log_digest(name, tmp_path):
                               rv_penetration=rv_rate)
     events, _ = run_rollout(net, schedule, RandomPolicy(), seed, duration,
                             EngineConfig(all_red=all_red), log_decisions=True)
+    _assert_unmoved(dict(zip(COUNT_KEYS, COUNTS[name])), _event_counts(events))
     path = tmp_path / "events.csv"
     write_events_csv(events, path)
     assert _sha256(path.read_bytes()) == DIGESTS[name]
@@ -161,6 +201,10 @@ def test_training_digests(tmp_path):
     assert run(["train", "--network", str(net), "--checkpoint", str(ckpt),
                 "--config", str(cfg), "--seed", "1", "--quiet"]) == 0
     curve = (ckpt / "training_curve.csv").read_bytes()
+    header, *_, last = curve.decode().splitlines()
+    columns = header.split(",")
+    _assert_unmoved(dict(zip(columns, CURVE_LAST_ROW.split(","))),
+                    dict(zip(columns, last.split(","))))
     params = Learner.load(ckpt / "checkpoint.npz").params
     h = hashlib.sha256()
     for key in sorted(params):

@@ -299,8 +299,9 @@ def test_train_writes_checkpoint_then_simulate_uses_it(tmp_path):
     assert code == 0
     assert (ckpt_dir / "checkpoint.npz").exists()
     assert (ckpt_dir / "training_curve.csv").exists()
+    curve = (ckpt_dir / "training_curve.csv").read_text().splitlines()
+    assert len(curve) == 1 + 2   # the header and one row per episode
     learner = Learner.load(ckpt_dir / "checkpoint.npz")
-    assert learner.episodes_done == 2
     assert learner.config.hidden == (16,)
     code = run(["simulate", "--network", str(net), "--demand", "8",
                 "--rv-rate", "0.5", "--policy", str(ckpt_dir),
@@ -309,19 +310,13 @@ def test_train_writes_checkpoint_then_simulate_uses_it(tmp_path):
     assert code == 0
 
 
-def test_train_resume_extends_episodes(tmp_path):
+def test_train_has_no_resume_flag(tmp_path, capsys):
     net = _netgen(tmp_path)
-    cfg = tmp_path / "train.cfg"
-    cfg.write_text(FAST_TRAIN_CFG)
     ckpt_dir = tmp_path / "ck"
     assert run(["train", "--network", str(net), "--checkpoint", str(ckpt_dir),
-                "--config", str(cfg), "--seed", "1", "--quiet"]) == 0
-    cfg.write_text(FAST_TRAIN_CFG.replace("episodes = 2", "episodes = 3"))
-    assert run(["train", "--network", str(net), "--checkpoint", str(ckpt_dir),
-                "--config", str(cfg), "--seed", "1", "--quiet",
-                "--resume"]) == 0
-    learner = Learner.load(ckpt_dir / "checkpoint.npz")
-    assert learner.episodes_done == 3
+                "--episodes", "1", "--quiet", "--resume"]) == 1
+    assert "unrecognized arguments: --resume" in capsys.readouterr().err
+    assert not ckpt_dir.exists()
 
 
 def test_sweep_runs_spec_and_writes_csvs(tmp_path):
@@ -381,6 +376,15 @@ def test_netgen_rejects_impossible_grid(tmp_path):
                                       ("hidden = 0", "hidden must be"),
                                       ("hidden = ", "hidden must be"),
                                       ("atoms = 0", "atoms must be >= 1"),
+                                      ("episodes = 0",
+                                       "episodes must be >= 1"),
+                                      ("episodes = -3",
+                                       "episodes must be >= 1"),
+                                      ("warmup = -4", "warmup must be >= 0"),
+                                      ("momentum = 1.5",
+                                       "momentum must be in [0, 1)"),
+                                      ("momentum = -0.5",
+                                       "momentum must be in [0, 1)"),
                                       ("alpha = 2",
                                        "unknown config key 'alpha'"),
                                       ("beta_penalty = 2",
@@ -453,13 +457,8 @@ def test_sweep_rejects_a_checkpoint_of_another_observation_length(
 
 
 @pytest.mark.parametrize("fault", ["truncated", "text", "renamed_entry"])
-@pytest.mark.parametrize("command", ["simulate", "train"])
-def test_unreadable_checkpoint_fails_naming_the_file(tmp_path, capsys,
-                                                     command, fault):
-    net = _netgen(tmp_path)
-    ckpt_dir = tmp_path / "ck"
-    ckpt_dir.mkdir()
-    path = ckpt_dir / "checkpoint.npz"
+def test_unreadable_checkpoint_fails_naming_the_file(tmp_path, capsys, fault):
+    path = tmp_path / "checkpoint.npz"
     if fault == "truncated":
         whole = _checkpoint(tmp_path, 12).read_bytes()
         path.write_bytes(whole[:len(whole) // 2])
@@ -471,19 +470,11 @@ def test_unreadable_checkpoint_fails_naming_the_file(tmp_path, capsys,
             arrays = {k.replace("online/bv", "online/bq"): data[k]
                       for k in data.files}
         np.savez(path, **arrays)
-    if command == "simulate":
-        argv = ["simulate", "--network", str(net), "--demand", "10",
-                "--policy", str(path)]
-    else:
-        cfg = tmp_path / "train.cfg"
-        cfg.write_text(FAST_TRAIN_CFG)
-        argv = ["train", "--network", str(net), "--checkpoint", str(ckpt_dir),
-                "--config", str(cfg), "--quiet", "--resume"]
-    assert run(argv) == 2
+    assert run(["simulate", "--network", str(_netgen(tmp_path)),
+                "--demand", "10", "--policy", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"{path} is not a readable checkpoint" in err
     assert "Traceback" not in err
-    assert not (ckpt_dir / "training_curve.csv").exists()
 
 
 @pytest.mark.parametrize("obs_dim", [9, 12])

@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stopgo import engine
 from stopgo.engine import (
@@ -22,7 +23,7 @@ from stopgo.metrics import ExperimentSpec, MetricError
 from stopgo.idm import HV, VehicleState
 from stopgo.netmodel import (UNSIGNALIZED, GridGeometry, Intersection, Lane,
                              Movement, Network, Route, generate_grid,
-                             validate_network)
+                             remove_left_turns, validate_network)
 from stopgo.rainbow import Learner, LearnerConfig
 from stopgo.signals import permitted_movements, phase_at
 from stopgo.training import ScenarioConfig, observation_dim
@@ -550,3 +551,55 @@ def test_batch_policy_logs_what_per_row_decisions_log():
         logs.append([format_event(e) for e in events])
     assert sum(",Decision," in line for line in logs[0]) > 2000
     assert logs[0] == logs[1]
+
+
+@st.composite
+def rollouts(draw):
+    """A small grid (up to 2x3, any unsignalized/signalized split, with or
+    without left turns), its demand and the engine settings it runs with."""
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    unsignalized = draw(st.integers(0, rows * cols))
+    net = generate_grid(unsignalized, rows * cols - unsignalized,
+                        GridGeometry(rows=rows, cols=cols))
+    if draw(st.booleans()):
+        net = remove_left_turns(net)
+    schedule = DemandSchedule(
+        total_vehicles=draw(st.integers(1, 300)),
+        horizon=draw(st.floats(0.0, 300.0)),
+        rv_penetration=draw(st.floats(0.0, 1.0)))
+    config = EngineConfig(all_red=draw(st.floats(0.0, 3.0)),
+                          zone_length=draw(st.floats(2.0, 40.0)),
+                          collision_dwell=draw(st.floats(0.0, 20.0)))
+    return (net, schedule, config, draw(st.integers(0, 2**16)),
+            draw(st.floats(0.1, 300.0)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(rollouts())
+def test_rollout_invariants(rollout):
+    net, schedule, config, seed, duration = rollout
+    sim = Simulation(net, schedule, RandomPolicy(), seed, config)
+    steps = round(duration / config.dt)
+    for _ in range(steps):
+        sim.step()
+    sim.flush_pending()
+    events = sim.events
+
+    collided = {vid for e in events if e.event_type == "Collision"
+                for vid in e.vehicle_ids}
+    departed = {e.vehicle_ids[0] for e in events
+                if e.event_type == "Departure"}
+    assert not collided & departed
+    assert sim.spawned == sim.departed + sim.collision_removed + \
+        len(sim.vehicles)
+    # The last step spawned at the clock it started with.
+    last_spawn = (sim.step_count - 1) * config.dt
+    due = sum(1 for k in range(schedule.total_vehicles)
+              if schedule.arrival_time(k) <= last_spawn)
+    backlog = sum(len(queue) for queue in sim._spawn_queues.values())
+    assert sim.spawned + backlog == due
+    assert all(a.time <= b.time for a, b in zip(events, events[1:]))
+    again, _ = run_rollout(net, schedule, RandomPolicy(), seed, duration,
+                           config)
+    assert [format_event(e) for e in again] == \
+        [format_event(e) for e in events]

@@ -13,7 +13,10 @@ RV id order, so count their calls here.
 
 The benchmark also checks every rollout it runs with perfbench/checks.py,
 which reads a finished `Simulation` directly; run those checks here on two
-real 2x7 rollouts (spawn conservation and the event counts)."""
+real 2x7 rollouts (spawn conservation and the event counts). Its workloads
+(perfbench/workloads.py) read a trained learner's buffer, config and target
+network and reload its checkpoint; run desk-training's final checks on a
+tiny trained learner, and dense-grid's policy set-up."""
 
 import importlib.util
 import os
@@ -21,9 +24,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from stopgo import engine, rainbow, training
+from stopgo import engine, netmodel, qnet, rainbow, training
 from stopgo.engine import DemandSchedule, RandomPolicy, Simulation, run_rollout
 from stopgo.netmodel import GridGeometry, generate_grid
 
@@ -144,16 +148,22 @@ def test_training_policy_decides_once_per_decision_in_id_order(
     assert len(recorder.decided_ids()) == len(stored) > 50
 
 
-def _load_checks():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_checks", PERFBENCH / "checks.py")
+def _load(name):
+    """perfbench/<name>.py, as the module perfbench's own modules import."""
+    spec = importlib.util.spec_from_file_location(name,
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
-checks = _load_checks()
+checks = _load("checks")
+workloads = _load("workloads")
+
+# The stopgo modules by the short names the workloads look them up by.
+MODULES = {"engine": engine, "netmodel": netmodel, "qnet": qnet,
+           "rainbow": rainbow, "training": training}
 
 
 # name: (unsignalized, signalized, demand, rv rate, seed, duration)
@@ -174,3 +184,29 @@ def test_benchmark_rollout_checks_pass(name):
         sim.step()
     sim.flush_pending()
     assert checks.rollout_problems(checks.facts_from_sim(sim, name)) == []
+
+
+def test_desk_training_checks_pass_on_a_trained_learner(tmp_path):
+    net = generate_grid(1, 0, GridGeometry(rows=1, cols=1))
+    learner = training.train(
+        net, episodes=1, seed=1, checkpoint_dir=tmp_path,
+        learner_config=rainbow.LearnerConfig(hidden=(16,), batch_size=8,
+                                             warmup=16, episodes=1),
+        scenario=training.ScenarioConfig(demand=40, episode_duration=120.0,
+                                         rv_penetration=0.8),
+        quiet=True)
+    assert learner.train_steps > 0
+    state = {"seed": 1, "checkpoint_dir": tmp_path}
+    assert workloads.DeskTraining().final_problems(
+        MODULES, state, learner) == []
+
+
+def test_dense_grid_policy_is_the_seeded_untrained_network(tmp_path):
+    state = workloads.DenseGrid().setup(MODULES, 1, tmp_path)
+    (net, policy, _), _ = state["rollouts"]
+    obs_dim = training.observation_dim(net)
+    expected = rainbow.Learner(obs_dim, rainbow.LearnerConfig(),
+                               workloads.POLICY_SEED).snapshot()
+    rng = np.random.default_rng(3)
+    rows = [rng.uniform(0.0, 50.0, obs_dim) for _ in range(8)]
+    assert policy.decide_batch(rows) == expected.decide_batch(rows)

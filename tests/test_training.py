@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stopgo.engine import AlwaysGoPolicy, RandomPolicy
-from stopgo.rainbow import Learner, LearnerConfig, PolicySnapshot
+from stopgo.rainbow import LearnerConfig, PolicySnapshot
 from stopgo.training import (
     CHECKPOINT_FILE,
     CURVE_COLUMNS,
@@ -42,28 +42,6 @@ def test_training_fills_buffer_and_steps(tmp_path, net_1u):
                     learner_config=FAST, scenario=SHORT, quiet=True)
     assert len(learner.buffer) > 0
     assert learner.train_steps > 0
-
-
-def test_resume_continues_episode_count(tmp_path, net_1u):
-    train(net_1u, episodes=2, seed=1, checkpoint_dir=tmp_path,
-          learner_config=FAST, scenario=SHORT, quiet=True)
-    resumed = train(net_1u, episodes=4, seed=1, checkpoint_dir=tmp_path,
-                    learner_config=FAST, scenario=SHORT,
-                    resume_from=resolve_checkpoint(tmp_path), quiet=True)
-    assert resumed.episodes_done == 4
-    curve = (tmp_path / CURVE_FILE).read_text().splitlines()
-    assert curve[0] == ",".join(CURVE_COLUMNS)
-    assert [row.split(",")[0] for row in curve[1:]] == ["0", "1", "2", "3"]
-
-
-def test_resume_rejects_a_checkpoint_of_another_observation_length(
-        tmp_path, net_1u):
-    Learner(9, FAST, seed=1).save(tmp_path / CHECKPOINT_FILE)
-    with pytest.raises(ValueError, match="^intersection J0 gives observations "
-                       "of length 12, the policy reads 9$"):
-        train(net_1u, episodes=2, seed=1, checkpoint_dir=tmp_path,
-              learner_config=FAST, scenario=SHORT,
-              resume_from=resolve_checkpoint(tmp_path), quiet=True)
 
 
 def test_resolve_checkpoint_accepts_dir_or_file(tmp_path, net_1u):
